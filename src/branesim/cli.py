@@ -1,14 +1,15 @@
 """Command-line surface: verify, simulate, characteristics, mcf-compare.
 
 Exit codes: 0 success, 1 verification failure, 2 config/validation error,
-3 runtime blow-up.  With a fixed seed and thread count every output file and
-report is byte-identical across runs.
+3 runtime blow-up.  Every output file, and the verify report for a fixed
+seed, is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -42,33 +43,105 @@ def _require_keys(obj: dict, allowed: dict, where: str):
 
 
 def _finite(x, where: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {x!r}")
     try:
         v = float(x)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {x!r}") from None
-    if not np.isfinite(v):
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
         raise ConfigError(f"{where}: value must be finite")
     return v
 
 
-def _parse_modes(items, n: int, where: str) -> list[Mode]:
+def _positive(x, where: str) -> float:
+    v = _finite(x, where)
+    if v <= 0:
+        raise ConfigError(f"{where}: must be positive")
+    return v
+
+
+def _integer(x, where: str, lo: int | None = None, hi: int | None = None) -> int:
+    """A whole JSON number (2 or 2.0, not 2.5, "2" or true), optionally in [lo, hi]."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {x!r}")
+    x = int(x)
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
+        raise ConfigError(f"{where}: must lie in [{lo}, {hi}]" if hi is not None else f"{where}: must be >= {lo}")
+    return x
+
+
+def _parse_modes(items, m: int, n: int, where: str) -> list[Mode]:
     if not isinstance(items, list):
         raise ConfigError(f"{where}: expected a list of modes")
     out = []
     for k, item in enumerate(items):
-        _require_keys(item, {"component": True, "wave": True, "amplitude": True, "phase": False}, f"{where}[{k}]")
+        at = f"{where}[{k}]"
+        _require_keys(item, {"component": True, "wave": True, "amplitude": True, "phase": False}, at)
         wave = item["wave"]
-        if not isinstance(wave, list) or len(wave) != n or any(int(w) != w for w in wave):
-            raise ConfigError(f"{where}[{k}].wave: expected {n} integers")
+        if not isinstance(wave, list) or len(wave) != n:
+            raise ConfigError(f"{at}.wave: expected {n} integers")
         out.append(
             Mode(
-                component=int(item["component"]),
-                wave=tuple(int(w) for w in wave),
-                amplitude=_finite(item["amplitude"], f"{where}[{k}].amplitude"),
-                phase=_finite(item.get("phase", 0.0), f"{where}[{k}].phase"),
+                component=_integer(item["component"], f"{at}.component", 1, m),
+                wave=tuple(_integer(w, f"{at}.wave") for w in wave),
+                amplitude=_finite(item["amplitude"], f"{at}.amplitude"),
+                phase=_finite(item.get("phase", 0.0), f"{at}.phase"),
             )
         )
     return out
+
+
+def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
+    """Validate the keys that simulate and mcf-compare configs share.
+
+    ``keys`` and ``scheme_keys`` map each command's own top-level and
+    ``scheme`` keys to whether they are required.  Returns the shared fields
+    under the names ``RunConfig`` uses.
+    """
+    _require_keys(
+        data,
+        {"schema": True, "m": True, "n": True, "grid": True, "initial_data": True, "output_dir": False, **keys},
+        "config",
+    )
+    if data["schema"] != 1:
+        raise ConfigError(f"config.schema: unsupported schema {data['schema']!r}")
+    m = _integer(data["m"], "config.m", 1, 3)
+    n = _integer(data["n"], "config.n", 1, 2)
+    _require_keys(data["grid"], {"sizes": True, "lengths": True}, "config.grid")
+    sizes = data["grid"]["sizes"]
+    lengths = data["grid"]["lengths"]
+    if not isinstance(sizes, list) or len(sizes) != n:
+        raise ConfigError(f"config.grid.sizes: expected {n} entries")
+    if not isinstance(lengths, list) or len(lengths) != n:
+        raise ConfigError(f"config.grid.lengths: expected {n} entries")
+    grid = Grid(
+        tuple(_integer(s, "config.grid.sizes", 8) for s in sizes),
+        tuple(_positive(x, "config.grid.lengths") for x in lengths),
+    )
+    scheme = data.get("scheme", {})
+    _require_keys(scheme, {"stencil_order": False, "cfl": False, **scheme_keys}, "config.scheme")
+    order = _integer(scheme.get("stencil_order", 2), "config.scheme.stencil_order")
+    if order not in (2, 4):
+        raise ConfigError("config.scheme.stencil_order: must be 2 or 4")
+    cfl = _finite(scheme.get("cfl", 0.4), "config.scheme.cfl")
+    if not 0 < cfl <= 1:
+        raise ConfigError("config.scheme.cfl: must lie in (0, 1]")
+    init = data["initial_data"]
+    _require_keys(init, {"X_modes": True, "V_modes": False}, "config.initial_data")
+    output_dir = data.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("config.output_dir: expected a string")
+    return {
+        "m": m,
+        "n": n,
+        "grid": grid,
+        "stencil_order": order,
+        "cfl": cfl,
+        "x_modes": _parse_modes(init["X_modes"], m, n, "config.initial_data.X_modes"),
+        "v_modes": _parse_modes(init.get("V_modes", []), m, n, "config.initial_data.V_modes"),
+        "output_dir": output_dir,
+    }
 
 
 @dataclass
@@ -86,87 +159,48 @@ class RunConfig:
     x_modes: list[Mode]
     v_modes: list[Mode]
     oracle_compare: bool
-    mcf_compare: bool
-    seed: int
     output_dir: str
     snapshot_cadence: float | None = None
 
 
 def parse_run_config(data: dict) -> RunConfig:
-    _require_keys(
+    common = _parse_common(
         data,
         {
-            "schema": True,
-            "m": True,
-            "n": True,
-            "grid": True,
             "scheme": True,
             "t_end": True,
             "output_cadence": True,
-            "initial_data": True,
             "toggles": False,
             "seed": False,
             "snapshot_cadence": False,
-            "output_dir": False,
         },
-        "config",
+        {"filter_strength": False},
     )
-    if data["schema"] != 1:
-        raise ConfigError(f"config.schema: unsupported schema {data['schema']!r}")
-    m, n = int(data["m"]), int(data["n"])
-    if not 1 <= m <= 3:
-        raise ConfigError("config.m: must lie in [1, 3]")
-    if not 1 <= n <= 2:
-        raise ConfigError("config.n: must lie in [1, 2]")
-    _require_keys(data["grid"], {"sizes": True, "lengths": True}, "config.grid")
-    sizes = data["grid"]["sizes"]
-    lengths = data["grid"]["lengths"]
-    if not isinstance(sizes, list) or len(sizes) != n:
-        raise ConfigError(f"config.grid.sizes: expected {n} entries")
-    if not isinstance(lengths, list) or len(lengths) != n:
-        raise ConfigError(f"config.grid.lengths: expected {n} entries")
-    grid = Grid(tuple(int(s) for s in sizes), tuple(_finite(x, "config.grid.lengths") for x in lengths))
-    scheme = data["scheme"]
-    _require_keys(scheme, {"stencil_order": False, "cfl": False, "filter_strength": False}, "config.scheme")
-    order = int(scheme.get("stencil_order", 2))
-    if order not in (2, 4):
-        raise ConfigError("config.scheme.stencil_order: must be 2 or 4")
-    cfl = _finite(scheme.get("cfl", 0.4), "config.scheme.cfl")
-    if not 0 < cfl <= 1:
-        raise ConfigError("config.scheme.cfl: must lie in (0, 1]")
-    filt = _finite(scheme.get("filter_strength", 0.0), "config.scheme.filter_strength")
+    filt = _finite(data["scheme"].get("filter_strength", 0.0), "config.scheme.filter_strength")
     if filt < 0:
         raise ConfigError("config.scheme.filter_strength: must be >= 0")
-    t_end = _finite(data["t_end"], "config.t_end")
-    if t_end <= 0:
-        raise ConfigError("config.t_end: must be positive")
     cadence = _finite(data["output_cadence"], "config.output_cadence")
-    init = data["initial_data"]
-    _require_keys(init, {"X_modes": True, "V_modes": False}, "config.initial_data")
-    x_modes = _parse_modes(init["X_modes"], n, "config.initial_data.X_modes")
-    v_modes = _parse_modes(init.get("V_modes", []), n, "config.initial_data.V_modes")
-    for mode in x_modes + v_modes:
-        if not 1 <= mode.component <= m:
-            raise ConfigError(f"config.initial_data: mode component {mode.component} out of range 1..{m}")
+    if cadence < 0:
+        raise ConfigError("config.output_cadence: must be >= 0 (0 writes diagnostics at t = 0 and t_end only)")
     toggles = data.get("toggles", {})
     _require_keys(toggles, {"oracle_compare": False, "mcf_compare": False}, "config.toggles")
+    for key, value in toggles.items():
+        if not isinstance(value, bool):
+            raise ConfigError(f"config.toggles.{key}: expected true or false")
+    if toggles.get("mcf_compare"):
+        raise ConfigError(
+            "config.toggles.mcf_compare: simulate does not run the MCF comparison; use the mcf-compare command"
+        )
+    # simulate draws no random numbers; the seed is checked and has no effect
+    _integer(data.get("seed", 0), "config.seed")
     snap = data.get("snapshot_cadence")
     return RunConfig(
-        m=m,
-        n=n,
-        grid=grid,
-        stencil_order=order,
-        cfl=cfl,
+        **common,
         filter_strength=filt,
-        t_end=t_end,
+        t_end=_positive(data["t_end"], "config.t_end"),
         output_cadence=cadence,
-        x_modes=x_modes,
-        v_modes=v_modes,
-        oracle_compare=bool(toggles.get("oracle_compare", False)),
-        mcf_compare=bool(toggles.get("mcf_compare", False)),
-        seed=int(data.get("seed", 0)),
-        output_dir=str(data.get("output_dir", "out")),
-        snapshot_cadence=None if snap is None else _finite(snap, "config.snapshot_cadence"),
+        oracle_compare=toggles.get("oracle_compare", False),
+        snapshot_cadence=None if snap is None else _positive(snap, "config.snapshot_cadence"),
     )
 
 
@@ -298,6 +332,12 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+def _write_run(out_dir: Path, rows, snapshots):
+    _write(out_dir / "diagnostics.csv", solver.rows_to_csv(rows))
+    for t, snap in snapshots:
+        _write(out_dir / f"snapshot_t{t:.6f}.json", solver.snapshot_to_json(snap))
+
+
 def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
     out_dir = Path(output_dir or cfg.output_dir)
@@ -314,14 +354,10 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
             snapshot_cadence=cfg.snapshot_cadence,
         )
     except solver.BlowUpError as exc:
-        _write(out_dir / "diagnostics.csv", solver.rows_to_csv(exc.rows))
-        for t, snap in exc.snapshots:
-            _write(out_dir / f"snapshot_t{t:.6f}.json", solver.snapshot_to_json(snap))
+        _write_run(out_dir, exc.rows, exc.snapshots)
         print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}", file=sys.stderr)
         return 3
-    _write(out_dir / "diagnostics.csv", solver.rows_to_csv(result.rows))
-    for t, snap in result.snapshots:
-        _write(out_dir / f"snapshot_t{t:.6f}.json", solver.snapshot_to_json(snap))
+    _write_run(out_dir, result.rows, result.snapshots)
     last = result.rows[-1]
     print(
         "final t={} lambda_Linf={} omega_Linf={} phi_Linf={} psi_Linf={} sigma_Linf={}".format(
@@ -344,7 +380,7 @@ def _state_from_json(data: dict) -> tuple[PrimitiveState, list[float] | None]:
     _require_keys(
         data, {"schema": False, "m": True, "n": True, "state": True, "nu": False}, "state file"
     )
-    m, n = int(data["m"]), int(data["n"])
+    m, n = _integer(data["m"], "state file.m", 1), _integer(data["n"], "state file.n", 1)
     layout = enumerate_layout(m, n)
     st = data["state"]
     _require_keys(st, {"tau": True, "d": True, "v": True, "minors": True}, "state")
@@ -387,68 +423,33 @@ def cmd_characteristics(path: str) -> int:
 
 
 def parse_mcf_config(data: dict) -> dict:
-    _require_keys(
-        data,
-        {
-            "schema": True,
-            "m": True,
-            "n": True,
-            "grid": True,
-            "scheme": False,
-            "initial_data": True,
-            "dt_values": True,
-            "circle": False,
-            "graph_flow": False,
-            "output_dir": False,
-        },
-        "config",
+    cfg = _parse_common(
+        data, {"scheme": False, "dt_values": True, "circle": False, "graph_flow": False}, {}
     )
-    if data["schema"] != 1:
-        raise ConfigError("config.schema: unsupported schema")
-    m, n = int(data["m"]), int(data["n"])
-    _require_keys(data["grid"], {"sizes": True, "lengths": True}, "config.grid")
-    grid = Grid(tuple(data["grid"]["sizes"]), tuple(data["grid"]["lengths"]))
-    scheme = data.get("scheme", {})
-    _require_keys(scheme, {"stencil_order": False, "cfl": False}, "config.scheme")
-    init = data["initial_data"]
-    _require_keys(init, {"X_modes": True, "V_modes": False}, "config.initial_data")
-    x_modes = _parse_modes(init["X_modes"], n, "config.initial_data.X_modes")
-    v_modes = _parse_modes(init.get("V_modes", []), n, "config.initial_data.V_modes")
-    if any(mode.amplitude != 0.0 for mode in v_modes):
+    if any(mode.amplitude != 0.0 for mode in cfg["v_modes"]):
         raise ConfigError("config.initial_data.V_modes: the quadratic-time comparison requires V = 0")
     dts = data["dt_values"]
     if not isinstance(dts, list) or not dts:
         raise ConfigError("config.dt_values: expected a non-empty list")
-    out = {
-        "m": m,
-        "grid": grid,
-        "order": int(scheme.get("stencil_order", 2)),
-        "cfl": _finite(scheme.get("cfl", 0.4), "config.scheme.cfl"),
-        "x_modes": x_modes,
-        "dt_values": [_finite(x, "config.dt_values") for x in dts],
-        "circle": None,
-        "graph_flow": None,
-        "output_dir": str(data.get("output_dir", "out")),
-    }
+    cfg["dt_values"] = [_positive(x, "config.dt_values") for x in dts]
+    cfg["circle"] = cfg["graph_flow"] = None
     if "circle" in data:
-        _require_keys(
-            data["circle"],
-            {"radius": True, "points": True, "theta_end": True, "step_factor": False},
-            "config.circle",
-        )
-        out["circle"] = {
-            "radius": _finite(data["circle"]["radius"], "config.circle.radius"),
-            "points": int(data["circle"]["points"]),
-            "theta_end": _finite(data["circle"]["theta_end"], "config.circle.theta_end"),
-            "step_factor": _finite(data["circle"].get("step_factor", 0.1), "config.circle.step_factor"),
+        c = data["circle"]
+        _require_keys(c, {"radius": True, "points": True, "theta_end": True, "step_factor": False}, "config.circle")
+        cfg["circle"] = {
+            "radius": _positive(c["radius"], "config.circle.radius"),
+            "points": _integer(c["points"], "config.circle.points", 8),
+            "theta_end": _positive(c["theta_end"], "config.circle.theta_end"),
+            "step_factor": _positive(c.get("step_factor", 0.1), "config.circle.step_factor"),
         }
     if "graph_flow" in data:
-        _require_keys(data["graph_flow"], {"theta_end": True, "step_factor": False}, "config.graph_flow")
-        out["graph_flow"] = {
-            "theta_end": _finite(data["graph_flow"]["theta_end"], "config.graph_flow.theta_end"),
-            "step_factor": _finite(data["graph_flow"].get("step_factor", 0.1), "config.graph_flow.step_factor"),
+        gf = data["graph_flow"]
+        _require_keys(gf, {"theta_end": True, "step_factor": False}, "config.graph_flow")
+        cfg["graph_flow"] = {
+            "theta_end": _positive(gf["theta_end"], "config.graph_flow.theta_end"),
+            "step_factor": _positive(gf.get("step_factor", 0.1), "config.graph_flow.step_factor"),
         }
-    return out
+    return cfg
 
 
 def measured_order(errors, steps) -> float | None:
@@ -469,12 +470,14 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
 
     u0, _ = solver.fourier_series(cfg["x_modes"], grid, cfg["m"])
     E0 = mcf.EmbeddingField.from_graph(grid, u0)
-    tan0 = mcf.tangency_residual(E0, cfg["order"])
+    tan0 = mcf.tangency_residual(E0, cfg["stencil_order"])
     amp0 = float(np.max(np.abs(u0)))
 
     errors = []
     for dt in cfg["dt_values"]:
-        err = mcf.acceleration_limit_test(grid, cfg["x_modes"], dt, order=cfg["order"], cfl=cfg["cfl"])
+        err = mcf.acceleration_limit_test(
+            grid, cfg["m"], cfg["x_modes"], dt, order=cfg["stencil_order"], cfl=cfg["cfl"]
+        )
         errors.append(err)
         lines.append(",".join([solver._fmt(dt), solver._fmt(err), solver._fmt(tan0), solver._fmt(amp0)]))
 
@@ -494,7 +497,9 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
 
     if cfg["graph_flow"] is not None:
         gcfg = cfg["graph_flow"]
-        thetas, amps = mcf.graph_amplitude_decay(grid, cfg["x_modes"], gcfg["theta_end"], gcfg["step_factor"])
+        thetas, amps = mcf.graph_amplitude_decay(
+            grid, cfg["m"], cfg["x_modes"], gcfg["theta_end"], gcfg["step_factor"]
+        )
         for t, a in zip(thetas[:: max(1, len(thetas) // 32)], amps[:: max(1, len(thetas) // 32)]):
             lines.append(",".join([solver._fmt(t), "", solver._fmt(tan0), solver._fmt(a)]))
 
@@ -509,9 +514,8 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="branesim", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker thread count (kernels are vectorized; results are thread-count independent)")
     parser.add_argument("--output-dir", default=None, help="override the config output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the random samples drawn by verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run the exact-rational identity suites")
@@ -537,8 +541,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if args.command == "verify":
             shapes = []
             for token in args.shapes.split(","):
@@ -548,7 +550,7 @@ def main(argv=None) -> int:
                 shapes.append((int(m), int(n)))
             if args.samples < 0:
                 raise ConfigError("--samples must be >= 0")
-            report = cmd_verify(shapes, args.samples, args.seed if args.seed is not None else 0)
+            report = cmd_verify(shapes, args.samples, args.seed)
             print(report.to_json())
             print(f"verify completed in {report.elapsed_s:.3f}s", file=sys.stderr)
             return 0 if report.all_passed() else 1

@@ -168,33 +168,31 @@ def _symmetric_triplets(m: int, n: int, j: int) -> tuple[tuple[int, int, int, in
 
 
 def assemble_A(j: int, W: PrimitiveState):
-    """The symmetric matrix A_j(W), rows and columns in state-vector order."""
+    """The symmetric matrix A_j(W), rows and columns in state-vector order.
+
+    Grid-valued states give one matrix per point, shape (*grid, dim, dim);
+    exact (Fraction) entries give an object array.
+    """
     lay = W.layout
     if not 1 <= j <= lay.n:
         raise DomainError(f"direction {j} out of range 1..{lay.n}")
     vec = W.as_vector()
     exact = any(isinstance(x, Fraction) for x in vec)
     dim = lay.state_dim
-    if exact:
-        mat = [[0] * dim for _ in range(dim)]
-        for p, q, slot, sign in _symmetric_triplets(lay.m, lay.n, j):
-            mat[p][q] += sign * vec[slot]
-        return np.array(mat, dtype=object)
-    mat = np.zeros((dim, dim))
+    mat = np.zeros((*np.shape(vec[0]), dim, dim), dtype=object if exact else float)
     for p, q, slot, sign in _symmetric_triplets(lay.m, lay.n, j):
-        mat[p, q] += sign * vec[slot]
+        mat[..., p, q] += sign * vec[slot]
     return mat
 
 
-def apply_terms(layout: MinorLayout, W_vec, grad_vecs):
-    """-sum_j A_j(W) d_j W from the direct term table.
+def apply_terms(layout: MinorLayout, W_vec, grad_vecs, out):
+    """Subtract sum_j A_j(W) d_j W, from the direct term table, into ``out``.
 
-    ``W_vec`` is indexable by state slot and ``grad_vecs[j-1]`` by slot as
-    well; entries may be scalars or grid arrays.
+    ``W_vec``, ``grad_vecs[j-1]`` and ``out`` are indexable by state slot;
+    entries may be scalars or grid arrays.  Returns ``out``.
     """
-    out = [0] * layout.state_dim
     for row, coeff, deriv, axis, sign in _direct_terms(layout.m, layout.n):
-        out[row] = out[row] - sign * W_vec[coeff] * grad_vecs[axis - 1][deriv]
+        out[row] -= sign * W_vec[coeff] * grad_vecs[axis - 1][deriv]
     return out
 
 
@@ -210,7 +208,7 @@ def rhs_nonconservative_point(W: PrimitiveState, grads) -> PrimitiveState:
         gv.append(g.as_vector() if isinstance(g, PrimitiveState) else list(g))
     if len(gv) != lay.n:
         raise DomainError(f"expected {lay.n} gradient vectors, got {len(gv)}")
-    out = apply_terms(lay, W.as_vector(), gv)
+    out = apply_terms(lay, W.as_vector(), gv, [0] * lay.state_dim)
     return PrimitiveState.from_vector(out, lay)
 
 

@@ -105,16 +105,20 @@ def induced_metric(E: EmbeddingField, order: int = 2):
     return _metric_from_gradients(E.gradients(order))
 
 
-def mcf_velocity(E: EmbeddingField, order: int = 2) -> np.ndarray:
-    """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X), shape (ncomp, *sizes)."""
-    dX = E.gradients(order)
+def _divergence(dX: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+    """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X) from dX, shape (ncomp, *sizes)."""
     g, detg, ginv = _metric_from_gradients(dX)
     sq = np.sqrt(detg)
-    vel = np.zeros_like(E.X)
-    for i in range(E.grid.n):
+    vel = np.zeros((dX.shape[0], *grid.sizes))
+    for i in range(grid.n):
         flux = sq * np.einsum("j...,cj...->c...", ginv[i], dX)
-        vel += derivative(flux, E.grid, i, order)
+        vel += derivative(flux, grid, i, order)
     return vel / sq
+
+
+def mcf_velocity(E: EmbeddingField, order: int = 2) -> np.ndarray:
+    """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X), shape (ncomp, *sizes)."""
+    return _divergence(E.gradients(order), E.grid, order)
 
 
 def tangency_residual(E: EmbeddingField, order: int = 2) -> float:
@@ -168,14 +172,8 @@ def graph_gauge_velocity(grid: Grid, F0: np.ndarray, order: int = 2) -> np.ndarr
         for k in range(n):
             dX[k, j] = 1.0 if j == k else 0.0
         dX[n:, j] = F0[:, j]
-    g, detg, ginv = _metric_from_gradients(dX)
-    sq = np.sqrt(detg)
-    w = np.zeros((n + m, *grid.sizes))
-    for i in range(n):
-        flux = sq * np.einsum("j...,cj...->c...", ginv[i], dX)
-        w += derivative(flux, grid, i, order)
-    w /= sq
-    out = w[n:].copy()
+    w = _divergence(dX, grid, order)
+    out = w[n:]
     for alpha in range(m):
         for k in range(n):
             out[alpha] -= w[k] * F0[alpha, k]
@@ -197,6 +195,7 @@ def _height_velocity(fld: GridField) -> np.ndarray:
 
 def acceleration_limit_test(
     grid: Grid,
+    m: int,
     x_modes,
     dt: float,
     *,
@@ -206,14 +205,13 @@ def acceleration_limit_test(
 ) -> float:
     """Linf error between the discrete initial acceleration and the MCF velocity.
 
-    Starts the augmented evolution from velocity-free graph data, carries the
-    heights alongside the state, and forms a_disc = 2 (X(dt) - X(0)) / dt^2;
+    Starts the augmented evolution from velocity-free graph data (m heights
+    built from ``x_modes``), carries the heights alongside the state, and forms a_disc = 2 (X(dt) - X(0)) / dt^2;
     with V = 0 the trajectory is even in t, so the error is O(dt^2) plus the
     stencil contribution.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    m = max(mode.component for mode in x_modes)
     fld, (F0, D0), u0 = initial_fields(grid, m, x_modes, [])
     if float(np.max(np.abs(D0))) != 0.0:
         raise ConfigError("acceleration limit requires velocity-free initial data")
@@ -256,35 +254,31 @@ def mean_radius(E: EmbeddingField) -> float:
     return float(np.mean(np.sqrt(np.sum(E.X**2, axis=0))))
 
 
-def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_factor: float = 0.1):
-    """March a circle under MCF; returns (thetas, radii) including theta = 0."""
-    E = circle_embedding(points, radius)
+def _march(E: EmbeddingField, theta_end: float, step_factor: float, measure):
+    """Explicit MCF march at dtheta = step_factor * min(dx)^2 up to theta_end.
+
+    Returns (thetas, measure(E) at each theta), both including theta = 0.
+    """
     dtheta = step_factor * min(E.grid.spacing) ** 2
     thetas = [0.0]
-    radii = [mean_radius(E)]
+    values = [measure(E)]
     steps = math.ceil(theta_end / dtheta)
     for k in range(1, steps + 1):
         E = mcf_step(E, dtheta)
         thetas.append(k * dtheta)
-        radii.append(mean_radius(E))
+        values.append(measure(E))
         if thetas[-1] >= theta_end:
             break
-    return np.array(thetas), np.array(radii)
+    return np.array(thetas), np.array(values)
 
 
-def graph_amplitude_decay(grid: Grid, x_modes, theta_end: float, step_factor: float = 0.1):
-    """March a graph under MCF; returns (thetas, max |heights|)."""
-    m = max(mode.component for mode in x_modes)
+def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_factor: float = 0.1):
+    """March a circle under MCF; returns (thetas, radii) including theta = 0."""
+    return _march(circle_embedding(points, radius), theta_end, step_factor, mean_radius)
+
+
+def graph_amplitude_decay(grid: Grid, m: int, x_modes, theta_end: float, step_factor: float = 0.1):
+    """March the graph of m heights under MCF; returns (thetas, max |heights|)."""
     u, _ = fourier_series(x_modes, grid, m)
     E = EmbeddingField.from_graph(grid, u)
-    dtheta = step_factor * min(grid.spacing) ** 2
-    thetas = [0.0]
-    amps = [float(np.max(np.abs(E.X[grid.n :])))]
-    steps = math.ceil(theta_end / dtheta)
-    for k in range(1, steps + 1):
-        E = mcf_step(E, dtheta)
-        thetas.append(k * dtheta)
-        amps.append(float(np.max(np.abs(E.X[grid.n :]))))
-        if thetas[-1] >= theta_end:
-            break
-    return np.array(thetas), np.array(amps)
+    return _march(E, theta_end, step_factor, lambda E: float(np.max(np.abs(E.X[grid.n :]))))

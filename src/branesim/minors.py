@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -118,9 +117,6 @@ class MinorLayout:
                 for I in combinations(range(1, n + 1), k):
                     raw.append((A, I))
         self._raw = tuple(raw)
-        self.pairs = tuple(
-            (IndexSet(A, m), IndexSet(I, n)) for A, I in raw
-        )
         self.index_of = {p: i for i, p in enumerate(self._raw)}
         self.minor_count = len(raw)
         assert self.minor_count == comb(m + n, n) - 1
@@ -169,47 +165,13 @@ def enumerate_layout(m: int, n: int) -> MinorLayout:
 # matrices as nested sequences
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix with exact rational entries."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise DomainError("ragged rows")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries)))
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n != other.m:
-            raise DomainError(f"shape mismatch {self.m}x{self.n} @ {other.m}x{other.n}")
-        ot = tuple(zip(*other.entries))
-        return RationalMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries)
-        )
-
-
 def _rows(F) -> list[list]:
     """Matrix argument as a list of row lists; entries are left untouched.
 
-    Accepts a RationalMatrix, a nested sequence, or a numpy array; in the
-    last case any trailing axes are kept inside the entries, so a whole grid
-    of matrices can be processed in one call.
+    Accepts a nested sequence or a numpy array; in the latter case any
+    trailing axes are kept inside the entries, so a whole grid of matrices
+    can be processed in one call.
     """
-    if isinstance(F, RationalMatrix):
-        return [list(r) for r in F.entries]
     if hasattr(F, "ndim") and hasattr(F, "shape"):
         if F.ndim < 2:
             raise DomainError("matrix argument must be at least 2-dimensional")

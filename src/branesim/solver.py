@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -24,11 +24,6 @@ import numpy as np
 from . import flux as _flux
 from .minors import MinorLayout, _rank, _sign, enumerate_layout
 from .state import GraphData, PrimitiveState, SingularStateError, constraint_residuals, lift, to_conservative
-
-CSV_HEADER = (
-    "t,total_energy,entropy_residual_L2,lambda_Linf,omega_Linf,phi_Linf,"
-    "psi_Linf,sigma_Linf,oracle_F_err_Linf,oracle_D_err_Linf"
-)
 
 
 class ConfigError(ValueError):
@@ -155,10 +150,7 @@ def derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.
 def rhs_augmented(fld: GridField, order: int = 2) -> np.ndarray:
     """d_t W on the whole grid; the pointwise term table applied with stencils."""
     grads = [derivative(fld.values, fld.grid, j, order) for j in range(fld.grid.n)]
-    out = np.zeros_like(fld.values)
-    for row, coeff, deriv, axis, sign in _flux._direct_terms(fld.layout.m, fld.layout.n):
-        out[row] -= sign * fld.values[coeff] * grads[axis - 1][deriv]
-    return out
+    return _flux.apply_terms(fld.layout, fld.values, grads, np.zeros_like(fld.values))
 
 
 def _xi_and_xi_prime(F: np.ndarray):
@@ -219,16 +211,10 @@ def rk4_step(y: np.ndarray, dt: float, rhs) -> np.ndarray:
 
 def max_wave_speed(fld: GridField) -> float:
     """Largest |eigenvalue| of the flux matrices over grid points and axes."""
-    lay = fld.layout
-    dim = lay.state_dim
-    npts = int(np.prod(fld.grid.sizes))
-    vals = fld.values.reshape(dim, npts)
+    W = fld.state_view()
     smax = 0.0
     for j in range(1, fld.grid.n + 1):
-        A = np.zeros((npts, dim, dim))
-        for p, q, slot, sign in _flux._symmetric_triplets(lay.m, lay.n, j):
-            A[:, p, q] += sign * vals[slot]
-        ev = np.linalg.eigvalsh(A)
+        ev = np.linalg.eigvalsh(_flux.assemble_A(j, W))
         smax = max(smax, float(np.max(np.abs(ev))))
     return smax
 
@@ -371,6 +357,10 @@ class DiagnosticsRow:
     oracle_D_err_Linf: float | None = None
 
 
+_ROW_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
+CSV_HEADER = ",".join(_ROW_FIELDS)
+
+
 def _entropy_residual_field(fld: GridField, order: int) -> np.ndarray:
     """Discrete d_t S + div(entropy flux) along the actual evolution."""
     n = fld.layout.n
@@ -500,8 +490,9 @@ def run(
     dt0 = cfl_dt(fld, cfl)
     steps = max(1, math.ceil(t_end / dt0 - 1e-12))
     dt = t_end / steps
-    out_every = steps if output_cadence <= 0 else max(1, round(output_cadence / dt))
-    snap_every = None if snapshot_cadence is None else max(1, round(snapshot_cadence / dt))
+    # a cadence beyond t_end means "at the end only"; capping it keeps cadence / dt finite
+    out_every = steps if output_cadence <= 0 else max(1, round(min(output_cadence, t_end) / dt))
+    snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
 
     ora = None if oracle is None else (oracle[0].copy(), oracle[1].copy())
     rows = [diagnostics(fld, 0.0, order, ora)]
@@ -558,23 +549,7 @@ def _fmt(x) -> str:
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    r.t,
-                    r.total_energy,
-                    r.entropy_residual_L2,
-                    r.lambda_Linf,
-                    r.omega_Linf,
-                    r.phi_Linf,
-                    r.psi_Linf,
-                    r.sigma_Linf,
-                    r.oracle_F_err_Linf,
-                    r.oracle_D_err_Linf,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, name)) for name in _ROW_FIELDS))
     return "\n".join(lines) + "\n"
 
 

@@ -101,10 +101,60 @@ def test_simulate_unknown_key_exits_2(tmp_path):
     assert main(["simulate", str(path)]) == 2
 
 
-def test_simulate_validation_messages(tmp_path):
-    for bad in ({"m": 9}, {"n": 5}, {"t_end": -1.0}, {"scheme": {"cfl": 1.5}}):
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        return exc.code
+
+
+def assert_rejected(argv, key, capsys):
+    """Exit 2 with ``key`` named on stderr; any traceback would fail the test."""
+    capsys.readouterr()
+    assert exit_code(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert key in err, (key, err)
+
+
+def test_simulate_validation_messages(tmp_path, capsys):
+    mode = {"component": 1, "wave": [1], "amplitude": 0.1}
+    cases = [
+        ({"m": 9}, "config.m"),
+        ({"n": 5}, "config.n"),
+        ({"t_end": -1.0}, "config.t_end"),
+        ({"scheme": {"cfl": 1.5}}, "config.scheme.cfl"),
+        ({"m": "x"}, "config.m"),
+        ({"m": 1.5}, "config.m"),
+        ({"scheme": {"stencil_order": "a"}}, "config.scheme.stencil_order"),
+        ({"scheme": {"stencil_order": 3}}, "config.scheme.stencil_order"),
+        ({"grid": {"sizes": [64.7], "lengths": [6.0]}}, "config.grid.sizes"),
+        ({"initial_data": {"X_modes": [dict(mode, component="x")]}}, "config.initial_data.X_modes[0].component"),
+        ({"initial_data": {"X_modes": [dict(mode, component=1.5)]}}, "config.initial_data.X_modes[0].component"),
+        ({"initial_data": {"X_modes": [dict(mode, component=2)]}}, "config.initial_data.X_modes[0].component"),
+        ({"snapshot_cadence": 0}, "config.snapshot_cadence"),
+        ({"snapshot_cadence": -0.1}, "config.snapshot_cadence"),
+        ({"output_cadence": -1.0}, "config.output_cadence"),
+        ({"seed": "x"}, "config.seed"),
+        ({"seed": 1.5}, "config.seed"),
+        ({"toggles": {"oracle_compare": "yes"}}, "config.toggles.oracle_compare"),
+        (
+            {"toggles": {"mcf_compare": True}},
+            "config.toggles.mcf_compare: simulate does not run the MCF comparison; use the mcf-compare command",
+        ),
+    ]
+    for bad, key in cases:
         path = flat_config(tmp_path, **bad)
-        assert main(["simulate", str(path)]) == 2
+        assert_rejected(["simulate", str(path)], key, capsys)
+
+
+def test_simulate_cadence_zero_or_beyond_t_end_is_end_only(tmp_path):
+    for cadence in (0, 1e308):
+        path = flat_config(tmp_path, output_cadence=cadence, snapshot_cadence=1e308)
+        assert main(["simulate", str(path)]) == 0
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().split("\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.2]
+        snaps = sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.json"))
+        assert snaps == ["snapshot_t0.000000.json", "snapshot_t0.200000.json"]
 
 
 def test_simulate_blowup_exits_3_with_partial_output(tmp_path, monkeypatch):
@@ -242,13 +292,64 @@ def test_mcf_compare_rejects_nonzero_velocity(tmp_path):
     assert main(["mcf-compare", str(path)]) == 2
 
 
+def test_mcf_compare_validation_messages(tmp_path, capsys):
+    mode = {"component": 1, "wave": [1], "amplitude": 0.1}
+    circle = {"radius": 1.0, "points": 64, "theta_end": 0.01}
+    cases = [
+        ({"m": 7}, "config.m"),
+        ({"m": "x"}, "config.m"),
+        ({"n": 3}, "config.n"),
+        ({"grid": {"sizes": [64.7], "lengths": [6.0]}}, "config.grid.sizes"),
+        ({"scheme": {"stencil_order": 3}}, "config.scheme.stencil_order"),
+        ({"scheme": {"stencil_order": "a"}}, "config.scheme.stencil_order"),
+        ({"scheme": {"cfl": 5.0}}, "config.scheme.cfl"),
+        ({"initial_data": {"X_modes": [dict(mode, component=1.5)]}}, "config.initial_data.X_modes[0].component"),
+        ({"dt_values": [0.0]}, "config.dt_values"),
+        ({"circle": dict(circle, points=64.7)}, "config.circle.points"),
+        ({"circle": dict(circle, points="x")}, "config.circle.points"),
+        ({"circle": dict(circle, step_factor=0)}, "config.circle.step_factor"),
+        ({"graph_flow": {"theta_end": 0.01, "step_factor": -1}}, "config.graph_flow.step_factor"),
+    ]
+    for bad, key in cases:
+        path = mcf_config(tmp_path, **bad)
+        assert_rejected(["mcf-compare", str(path)], key, capsys)
+
+
+def test_mcf_compare_uses_config_m(tmp_path, monkeypatch):
+    seen = []
+    real = cli.mcf.acceleration_limit_test
+
+    def spy(grid, m, *args, **kwargs):
+        seen.append(m)
+        return real(grid, m, *args, **kwargs)
+
+    monkeypatch.setattr(cli.mcf, "acceleration_limit_test", spy)
+    assert main(["mcf-compare", str(mcf_config(tmp_path, m=2, dt_values=[0.004]))]) == 0
+    assert seen == [2]
+
+
+def test_mcf_compare_flat_graph_without_modes(tmp_path, capsys):
+    path = mcf_config(
+        tmp_path,
+        initial_data={"X_modes": []},
+        circle={"radius": 1.0, "points": 64, "theta_end": 0.01},
+        graph_flow={"theta_end": 0.01},
+    )
+    assert main(["mcf-compare", str(path)]) == 0
+    lines = (tmp_path / "out" / "mcf_compare.csv").read_text().strip().split("\n")[1:]
+    assert [float(x) for x in lines[0].split(",")[1:]] == [0.0, 0.0, 0.0]
+
+
 def test_bundled_configs_parse():
     for name in ("string_n1.json", "membrane_n2.json", "flat_n1.json"):
         parse_run_config(json.loads((CONFIG_DIR / name).read_text()))
     cli.parse_mcf_config(json.loads((CONFIG_DIR / "mcf_sine.json").read_text()))
 
 
-def test_threads_flag_validation(tmp_path):
+def test_threads_flag_validation(tmp_path, capsys):
+    # --threads had no effect and was removed; argparse now rejects it
     path = flat_config(tmp_path)
-    assert main(["--threads", "0", "simulate", str(path)]) == 2
-    assert main(["--threads", "2", "simulate", str(path)]) == 0
+    assert_rejected(["--threads=2", "simulate", str(path)], "--threads", capsys)
+    assert_rejected(["simulate", str(path), "--threads", "2"], "--threads", capsys)
+    # as a leading flag its value is read as the command, which argparse names instead
+    assert_rejected(["--threads", "2", "simulate", str(path)], "invalid choice: '2'", capsys)

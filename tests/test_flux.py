@@ -47,6 +47,14 @@ def test_assemble_A_zero_state():
         assert np.all(assemble_A(j, W) == 0.0)
     with pytest.raises(DomainError):
         assemble_A(3, W)
+    # a grid-valued state gives one matrix per point, equal to the pointwise calls
+    vals = np.random.default_rng(4).uniform(-1, 1, (lay.state_dim, 3, 5))
+    Wgrid = PrimitiveState.from_vector(list(vals), lay)
+    for j in (1, 2):
+        A = assemble_A(j, Wgrid)
+        assert A.shape == (3, 5, lay.state_dim, lay.state_dim)
+        for a, b in np.ndindex(3, 5):
+            assert np.array_equal(A[a, b], assemble_A(j, PrimitiveState.from_vector(list(vals[:, a, b]), lay)))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2)])

@@ -140,7 +140,7 @@ def test_circle_radius_rate():
 
 def test_graph_sine_amplitude_decays_exponentially():
     g = Grid((128,), (TWO_PI,))
-    thetas, amps = graph_amplitude_decay(g, [Mode(1, (1,), 0.1, 0.0)], 0.5)
+    thetas, amps = graph_amplitude_decay(g, 1, [Mode(1, (1,), 0.1, 0.0)], 0.5)
     assert amps[-1] / amps[0] == pytest.approx(math.exp(-thetas[-1]), rel=2e-3)
 
 
@@ -150,22 +150,22 @@ def test_graph_sine_amplitude_decays_exponentially():
 
 def test_acceleration_flat_graph_zero():
     g = Grid((64,), (TWO_PI,))
-    assert acceleration_limit_test(g, [Mode(1, (1,), 0.0, 0.0)], 1e-2) < 1e-10
+    assert acceleration_limit_test(g, 1, [Mode(1, (1,), 0.0, 0.0)], 1e-2) < 1e-10
 
 
 def test_acceleration_error_is_second_order_in_dt():
     g = Grid((512,), (TWO_PI,))
     modes = [Mode(1, (1,), 0.1, 0.0)]
-    e1 = acceleration_limit_test(g, modes, 4e-3)
-    e2 = acceleration_limit_test(g, modes, 2e-3)
+    e1 = acceleration_limit_test(g, 1, modes, 4e-3)
+    e2 = acceleration_limit_test(g, 1, modes, 2e-3)
     assert e1 / e2 == pytest.approx(4.0, rel=0.15)
 
 
 def test_acceleration_multi_mode_graph():
     g = Grid((256,), (TWO_PI,))
     modes = [Mode(1, (1,), 0.08, 0.2), Mode(1, (2,), 0.03, 1.1)]
-    e1 = acceleration_limit_test(g, modes, 4e-3)
-    e2 = acceleration_limit_test(g, modes, 2e-3)
+    e1 = acceleration_limit_test(g, 1, modes, 4e-3)
+    e2 = acceleration_limit_test(g, 1, modes, 2e-3)
     assert math.log2(e1 / e2) > 1.6
 
 
@@ -196,4 +196,4 @@ def test_metric_energy_identity_along_flow():
 def test_acceleration_rejects_bad_dt():
     g = Grid((64,), (TWO_PI,))
     with pytest.raises(solver.ConfigError):
-        acceleration_limit_test(g, [Mode(1, (1,), 0.1, 0.0)], 0.0)
+        acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 0.0)

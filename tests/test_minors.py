@@ -9,7 +9,6 @@ from branesim import minors
 from branesim.minors import (
     DomainError,
     IndexSet,
-    RationalMatrix,
     all_minors,
     cauchy_binet_check,
     enumerate_layout,
@@ -145,15 +144,6 @@ def test_all_minors_examples():
     assert all_minors([[1, 2], [3, 4]], lay) == [1, 2, 3, 4, -2]
     with pytest.raises(DomainError):
         all_minors([[1, 2, 3]], lay)
-
-
-def test_rational_matrix_type():
-    M = RationalMatrix(((1, 2), (3, 4)))
-    assert M.m == M.n == 2
-    assert (M @ M.transpose()).entries[0][0] == 5
-    assert minor(M, (1, 2), (1, 2)) == -2
-    with pytest.raises(DomainError):
-        RationalMatrix(((1, 2), (3,)))
 
 
 def test_minor_large_block_uses_elimination():
