@@ -22,7 +22,7 @@ import numpy as np
 from . import flux, mcf, minors, solver
 from .minors import DomainError, enumerate_layout
 from .solver import ConfigError, Grid, Mode
-from .state import PrimitiveState
+from .state import EPS_SINGULAR, PrimitiveState
 
 DEFAULT_VERIFY_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
 
@@ -153,7 +153,6 @@ class RunConfig:
     grid: Grid
     stencil_order: int
     cfl: float
-    filter_strength: float
     t_end: float
     output_cadence: float
     x_modes: list[Mode]
@@ -176,9 +175,9 @@ def parse_run_config(data: dict) -> RunConfig:
         },
         {"filter_strength": False},
     )
-    filt = _finite(data["scheme"].get("filter_strength", 0.0), "config.scheme.filter_strength")
-    if filt < 0:
-        raise ConfigError("config.scheme.filter_strength: must be >= 0")
+    # accepted as 0 only, the value existing configs send
+    if _finite(data["scheme"].get("filter_strength", 0.0), "config.scheme.filter_strength") != 0:
+        raise ConfigError("config.scheme.filter_strength: must be 0; the evolution has no filter")
     cadence = _finite(data["output_cadence"], "config.output_cadence")
     if cadence < 0:
         raise ConfigError("config.output_cadence: must be >= 0 (0 writes diagnostics at t = 0 and t_end only)")
@@ -196,7 +195,6 @@ def parse_run_config(data: dict) -> RunConfig:
     snap = data.get("snapshot_cadence")
     return RunConfig(
         **common,
-        filter_strength=filt,
         t_end=_positive(data["t_end"], "config.t_end"),
         output_cadence=cadence,
         oracle_compare=toggles.get("oracle_compare", False),
@@ -209,7 +207,9 @@ def load_json(path: str) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
@@ -348,7 +348,6 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
             t_end=cfg.t_end,
             cfl=cfg.cfl,
             order=cfg.stencil_order,
-            filter_strength=cfg.filter_strength,
             output_cadence=cfg.output_cadence,
             oracle=oracle if cfg.oracle_compare else None,
             snapshot_cadence=cfg.snapshot_cadence,
@@ -376,27 +375,34 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
 # characteristics
 
 
+def _numbers(x, length: int, where: str) -> list[float]:
+    if not isinstance(x, list) or len(x) != length:
+        raise ConfigError(f"{where}: expected a list of {length} numbers")
+    return [_finite(v, where) for v in x]
+
+
 def _state_from_json(data: dict) -> tuple[PrimitiveState, list[float] | None]:
     _require_keys(
         data, {"schema": False, "m": True, "n": True, "state": True, "nu": False}, "state file"
     )
-    m, n = _integer(data["m"], "state file.m", 1), _integer(data["n"], "state file.n", 1)
+    if data.get("schema", 1) != 1:
+        raise ConfigError(f"state file.schema: unsupported schema {data['schema']!r}")
+    m, n = _integer(data["m"], "state file.m", 1, 3), _integer(data["n"], "state file.n", 1, 2)
     layout = enumerate_layout(m, n)
     st = data["state"]
     _require_keys(st, {"tau": True, "d": True, "v": True, "minors": True}, "state")
-    d = [_finite(x, "state.d") for x in st["d"]]
-    v = [_finite(x, "state.v") for x in st["v"]]
-    mm = [_finite(x, "state.minors") for x in st["minors"]]
-    if len(d) != m or len(v) != n or len(mm) != layout.minor_count:
-        raise ConfigError(
-            f"state needs d[{m}], v[{n}], minors[{layout.minor_count}] for (m, n) = ({m}, {n})"
-        )
-    W = PrimitiveState(_finite(st["tau"], "state.tau"), d, v, mm, layout)
+    tau = _finite(st["tau"], "state.tau")
+    if tau <= EPS_SINGULAR:
+        raise ConfigError(f"state.tau: must exceed {EPS_SINGULAR} (tau = 1/h with h > 0)")
+    d = _numbers(st["d"], m, "state.d")
+    v = _numbers(st["v"], n, "state.v")
+    mm = _numbers(st["minors"], layout.minor_count, "state.minors")
+    W = PrimitiveState(tau, d, v, mm, layout)
     nu = data.get("nu")
     if nu is not None:
-        nu = [_finite(x, "nu") for x in nu]
-        if len(nu) != n:
-            raise ConfigError(f"nu must have length {n}")
+        nu = _numbers(nu, n, "nu")
+        if not any(nu):
+            raise ConfigError("nu: must be a nonzero direction")
     return W, nu
 
 
@@ -442,6 +448,11 @@ def parse_mcf_config(data: dict) -> dict:
             "theta_end": _positive(c["theta_end"], "config.circle.theta_end"),
             "step_factor": _positive(c.get("step_factor", 0.1), "config.circle.step_factor"),
         }
+        collapse = cfg["circle"]["radius"] * cfg["circle"]["radius"] / 2  # inf, not OverflowError, for huge radii
+        if cfg["circle"]["theta_end"] >= collapse:
+            raise ConfigError(
+                f"config.circle.theta_end: must be below the collapse time radius^2 / 2 = {collapse:.17g}"
+            )
     if "graph_flow" in data:
         gf = data["graph_flow"]
         _require_keys(gf, {"theta_end": True, "step_factor": False}, "config.graph_flow")

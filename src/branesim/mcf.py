@@ -30,10 +30,11 @@ class DegenerateMetricError(ValueError):
 class EmbeddingField:
     """An immersed n-manifold sampled on a periodic parameter grid.
 
-    ``X`` holds the ambient components, shape (ncomp, *sizes).  ``linear``
-    is the constant gradient of the non-periodic part of X (for graphs, the
-    identity block of the base coordinates); stencils act on X minus that
-    ramp, so wraparound never sees the coordinate jump.
+    ``X`` holds the periodic part of the ambient components, shape
+    (ncomp, *sizes): the embedding minus the ramp ``linear . x``.  ``linear``
+    is the constant gradient of the non-periodic part (for graphs, the
+    identity block of the base coordinates), so stencils act on X directly
+    and wraparound never sees the coordinate jump.
     """
 
     grid: Grid
@@ -54,10 +55,10 @@ class EmbeddingField:
 
     @classmethod
     def from_graph(cls, grid: Grid, heights: np.ndarray) -> "EmbeddingField":
-        """Graph embedding (x, u(x)); the base coordinates carry the ramp."""
+        """Graph embedding (x, u(x)); the base coordinates are all ramp, so their rows are zero."""
         heights = np.atleast_2d(np.asarray(heights, dtype=float))
         m = heights.shape[0]
-        X = np.concatenate([grid.coordinates(), heights], axis=0)
+        X = np.concatenate([np.zeros((grid.n, *grid.sizes)), heights], axis=0)
         linear = np.zeros((grid.n + m, grid.n))
         linear[: grid.n, : grid.n] = np.eye(grid.n)
         return cls(grid, X, linear)
@@ -69,12 +70,10 @@ class EmbeddingField:
         return cls(grid, points, np.zeros((points.shape[0], grid.n)))
 
     def gradients(self, order: int = 2) -> np.ndarray:
-        """d_i X, shape (ncomp, n, *sizes); ramp restored after the stencil."""
-        coords = self.grid.coordinates()
-        periodic = self.X - np.einsum("cj,j...->c...", self.linear, coords)
+        """d_i of the embedding, shape (ncomp, n, *sizes): stencil of X plus the ramp."""
         out = np.empty((self.ncomp, self.grid.n, *self.grid.sizes))
         for j in range(self.grid.n):
-            out[:, j] = derivative(periodic, self.grid, j, order) + self.linear[:, j].reshape(
+            out[:, j] = derivative(self.X, self.grid, j, order) + self.linear[:, j].reshape(
                 (-1,) + (1,) * self.grid.n
             )
         return out
@@ -139,20 +138,6 @@ def mcf_step(E: EmbeddingField, dtheta: float, order: int = 2) -> EmbeddingField
     return EmbeddingField(E.grid, Xn, E.linear)
 
 
-def stable_dtheta(E: EmbeddingField, order: int = 2) -> float:
-    """Explicit-step bound 0.25 min(dx)^2 * (min eig g / max eig g)."""
-    g, detg, _ = induced_metric(E, order)
-    n = E.grid.n
-    if n == 1:
-        lo, hi = float(np.min(g[0, 0])), float(np.max(g[0, 0]))
-    else:
-        tr = g[0, 0] + g[1, 1]
-        disc = np.sqrt(np.maximum((g[0, 0] - g[1, 1]) ** 2 + 4 * g[0, 1] ** 2, 0.0))
-        lo = float(np.min((tr - disc) / 2))
-        hi = float(np.max((tr + disc) / 2))
-    return 0.25 * min(E.grid.spacing) ** 2 * lo / hi
-
-
 # ---------------------------------------------------------------------------
 # the short-time limit
 
@@ -201,7 +186,6 @@ def acceleration_limit_test(
     *,
     order: int = 2,
     cfl: float = 0.4,
-    substeps: int | None = None,
 ) -> float:
     """Linf error between the discrete initial acceleration and the MCF velocity.
 
@@ -218,9 +202,7 @@ def acceleration_limit_test(
     lay = fld.layout
     dim = lay.state_dim
 
-    if substeps is None:
-        limit = _solver.cfl_dt(fld, cfl)
-        substeps = max(2, math.ceil(dt / limit))
+    substeps = max(2, math.ceil(dt / _solver.cfl_dt(fld, cfl)))
     dts = dt / substeps
 
     def rhs(y):

@@ -9,7 +9,6 @@ grid at once.  No function mutates its arguments.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -20,72 +19,16 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# index subsets and their ordinals
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing subset of {1..bound}; the empty set is allowed."""
-
-    elements: tuple[int, ...]
-    bound: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(int(e) for e in self.elements))
-        if self.bound < 1:
-            raise DomainError(f"bound must be positive, got {self.bound}")
-        prev = 0
-        for e in self.elements:
-            if not prev < e <= self.bound:
-                raise DomainError(
-                    f"elements must be strictly increasing within [1, {self.bound}], got {self.elements}"
-                )
-            prev = e
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
-
-    def without(self, x: int) -> "IndexSet":
-        if x not in self.elements:
-            raise DomainError(f"{x} not in {self.elements}")
-        return IndexSet(tuple(e for e in self.elements if e != x), self.bound)
-
-    def adding(self, x: int) -> "IndexSet":
-        if x in self.elements:
-            raise DomainError(f"{x} already in {self.elements}")
-        return IndexSet(tuple(sorted(self.elements + (x,))), self.bound)
-
-
-def _elems(A) -> tuple[int, ...]:
-    """Raw element tuple of an IndexSet or any iterable of indices."""
-    if isinstance(A, IndexSet):
-        return A.elements
-    return tuple(A)
+# index subsets and their ranks
 
 
 def _rank(elems: tuple[int, ...], x: int) -> int:
-    # 1-based rank of x within elems ∪ {x}; elems must be sorted
-    return 1 + bisect_left(elems, x)
-
-
-def ordinal(A, alpha: int) -> int:
-    """1-based rank of alpha within A ∪ {alpha}.
+    """1-based rank of x within elems ∪ {x}; elems must be sorted.
 
     This is the quantity whose parity drives every sign in the minor
-    expansions; it satisfies ordinal(A, a) == ordinal(A ∪ {a}, a).
+    expansions; it satisfies _rank(A, a) == _rank(A ∪ {a}, a).
     """
-    alpha = int(alpha)
-    if alpha < 1:
-        raise DomainError(f"index must be >= 1, got {alpha}")
-    if isinstance(A, IndexSet) and alpha > A.bound:
-        raise DomainError(f"index {alpha} exceeds bound {A.bound}")
-    return _rank(_elems(A), alpha)
+    return 1 + bisect_left(elems, x)
 
 
 def _sign(k: int):
@@ -124,7 +67,7 @@ class MinorLayout:
 
     # --- slots in the minor block -----------------------------------------
     def slot(self, A, I) -> int:
-        key = (_elems(A), _elems(I))
+        key = (tuple(A), tuple(I))
         try:
             return self.index_of[key]
         except KeyError:
@@ -141,7 +84,7 @@ class MinorLayout:
 
     def state_slot(self, A, I) -> int:
         """State-vector slot of m_{A,I}; the empty pair routes to tau."""
-        a, i = _elems(A), _elems(I)
+        a, i = tuple(A), tuple(I)
         if not a and not i:
             return 0
         return 1 + self.m + self.n + self.index_of[(a, i)]
@@ -260,7 +203,7 @@ def minor(F, A, I):
     """Determinant of the submatrix with rows A and columns I; 1 if both empty."""
     rows = _rows(F)
     m, n = _dims(rows)
-    a, i = _elems(A), _elems(I)
+    a, i = tuple(A), tuple(I)
     if len(a) != len(i):
         raise DomainError(f"row and column sets must have equal size, got {a} vs {i}")
     if a and (a[0] < 1 or a[-1] > m):
@@ -292,7 +235,7 @@ def cauchy_binet_check(M, N, I, J):
     l2, n = _dims(nr)
     if l != l2:
         raise DomainError(f"inner dimensions differ: {l} vs {l2}")
-    iset, jset = _elems(I), _elems(J)
+    iset, jset = tuple(I), tuple(J)
     k = len(iset)
     if len(jset) != k:
         raise DomainError("row and column subsets must have equal size")
@@ -391,7 +334,7 @@ def laplace_mixed(F, A, I, q: int, j: int):
     """
     rows = _rows(F)
     m, n = _dims(rows)
-    a, iset = _elems(A), _elems(I)
+    a, iset = tuple(A), tuple(I)
     k = len(a)
     if k != len(iset) or k < 1:
         raise DomainError("need |A| = |I| >= 1")

@@ -23,7 +23,16 @@ import numpy as np
 
 from . import flux as _flux
 from .minors import MinorLayout, _rank, _sign, enumerate_layout
-from .state import GraphData, PrimitiveState, SingularStateError, constraint_residuals, lift, to_conservative
+from .state import (
+    GraphData,
+    PrimitiveState,
+    SingularStateError,
+    constraint_residuals,
+    lift,
+    reconstruct_graph,
+    to_conservative,
+    to_primitive,
+)
 
 
 class ConfigError(ValueError):
@@ -103,9 +112,7 @@ class GridField:
 
     def state_view(self) -> PrimitiveState:
         """A PrimitiveState whose components are grid arrays (shared storage)."""
-        m, n = self.layout.m, self.layout.n
-        v = self.values
-        return PrimitiveState(v[0], list(v[1 : 1 + m]), list(v[1 + m : 1 + m + n]), list(v[1 + m + n :]), self.layout)
+        return PrimitiveState.from_vector(self.values, self.layout)
 
     def copy(self) -> "GridField":
         return GridField(self.grid, self.layout, self.values.copy())
@@ -210,12 +217,22 @@ def rk4_step(y: np.ndarray, dt: float, rhs) -> np.ndarray:
 
 
 def max_wave_speed(fld: GridField) -> float:
-    """Largest |eigenvalue| of the flux matrices over grid points and axes."""
+    """Largest |eigenvalue| of the flux matrices over grid points and axes.
+
+    For every W, on the constraint manifold or off it, the spectrum of A_j(W)
+    is {v_j, v_j +/- sigma_j} with sigma_j^2 = tau^2 + sum over alpha and
+    i != j of m_{alpha,i}^2, so the largest |eigenvalue| is |v_j| + sigma_j.
+    """
     W = fld.state_view()
+    lay = W.layout
     smax = 0.0
-    for j in range(1, fld.grid.n + 1):
-        ev = np.linalg.eigvalsh(_flux.assemble_A(j, W))
-        smax = max(smax, float(np.max(np.abs(ev))))
+    for j in range(1, lay.n + 1):
+        s2 = W.tau * W.tau
+        for a in range(1, lay.m + 1):
+            for i in range(1, lay.n + 1):
+                if i != j:
+                    s2 = s2 + W.m_minors[lay.slot((a,), (i,))] ** 2
+        smax = max(smax, float(np.max(np.abs(W.v[j - 1]) + np.sqrt(s2))))
     return smax
 
 
@@ -326,17 +343,8 @@ def initial_fields(grid: Grid, m: int, x_modes, v_modes, margin: float = 0.05):
     u, F = fourier_series(x_modes, grid, m)
     V, _ = fourier_series(v_modes, grid, m)
     D = graph_momentum(F, V, margin)
-    U = lift(GraphData(F, D), layout)
-    dim = layout.state_dim
-    vals = np.empty((dim, *grid.sizes))
-    vals[0] = 1.0 / U.h
-    for a in range(m):
-        vals[1 + a] = U.D[a] / U.h
-    for i in range(grid.n):
-        vals[1 + m + i] = U.P[i] / U.h
-    for s, Mv in enumerate(U.M):
-        vals[1 + m + grid.n + s] = Mv / U.h
-    return GridField(grid, layout, vals), (F.copy(), np.asarray(D, dtype=float).copy()), u
+    W = to_primitive(lift(GraphData(F, D), layout))
+    return GridField(grid, layout, W.as_vector()), (F.copy(), np.asarray(D, dtype=float).copy()), u
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +386,8 @@ def _entropy_residual_field(fld: GridField, order: int) -> np.ndarray:
 
 
 def _oracle_errors(fld: GridField, F: np.ndarray, D: np.ndarray):
-    lay = fld.layout
-    tau = fld.values[0]
-    errF = 0.0
-    for a in range(1, lay.m + 1):
-        for i in range(1, lay.n + 1):
-            slot = lay.state_slot((a,), (i,))
-            errF = max(errF, float(np.max(np.abs(fld.values[slot] / tau - F[a - 1, i - 1]))))
-    errD = 0.0
-    for a in range(lay.m):
-        errD = max(errD, float(np.max(np.abs(fld.values[1 + a] / tau - D[a]))))
-    return errF, errD
+    g = reconstruct_graph(fld.state_view())
+    return float(np.max(np.abs(np.asarray(g.F) - F))), float(np.max(np.abs(np.asarray(g.D) - D)))
 
 
 def diagnostics(fld: GridField, t: float, order: int = 2, oracle=None) -> DiagnosticsRow:
@@ -413,25 +412,6 @@ def diagnostics(fld: GridField, t: float, order: int = 2, oracle=None) -> Diagno
     if oracle is not None:
         row.oracle_F_err_Linf, row.oracle_D_err_Linf = _oracle_errors(fld, *oracle)
     return row
-
-
-# ---------------------------------------------------------------------------
-# spectral filter (off by default)
-
-
-def _spectral_filter(values: np.ndarray, grid: Grid, strength: float) -> np.ndarray:
-    if strength <= 0.0:
-        return values
-    out = values
-    for axis in range(grid.n):
-        ax = out.ndim - grid.n + axis
-        size = grid.sizes[axis]
-        k = np.fft.rfftfreq(size) * size
-        damp = np.exp(-strength * (k / (size // 2)) ** 8)
-        shape = [1] * out.ndim
-        shape[ax] = damp.size
-        out = np.fft.irfft(np.fft.rfft(out, axis=ax) * damp.reshape(shape), n=size, axis=ax)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +452,6 @@ def run(
     t_end: float,
     cfl: float = 0.4,
     order: int = 2,
-    filter_strength: float = 0.0,
     output_cadence: float = 0.0,
     oracle=None,
     snapshot_cadence: float | None = None,
@@ -519,13 +498,6 @@ def run(
 
                 y1 = rk4_step(y0, dt, rhs_pack)
                 ora = (y1[: m * nd].reshape(Fo.shape), y1[m * nd :].reshape(Do.shape))
-            if filter_strength > 0.0:
-                fld.values = _spectral_filter(fld.values, fld.grid, filter_strength)
-                if ora is not None:
-                    ora = (
-                        _spectral_filter(ora[0], fld.grid, filter_strength),
-                        _spectral_filter(ora[1], fld.grid, filter_strength),
-                    )
         except BlowUpError:
             raise BlowUpError(t + dt, rows, snapshots) from None
         t = k * dt

@@ -46,9 +46,6 @@ class GraphData:
     F: object
     D: object
 
-    def shape(self) -> tuple[int, int]:
-        return _dims(_rows(self.F))
-
 
 @dataclass
 class PrimitiveState:

@@ -137,6 +137,8 @@ def test_simulate_validation_messages(tmp_path, capsys):
         ({"seed": "x"}, "config.seed"),
         ({"seed": 1.5}, "config.seed"),
         ({"toggles": {"oracle_compare": "yes"}}, "config.toggles.oracle_compare"),
+        ({"scheme": {"filter_strength": 1.0}}, "config.scheme.filter_strength: must be 0; the evolution has no filter"),
+        ({"scheme": {"filter_strength": -1.0}}, "config.scheme.filter_strength"),
         (
             {"toggles": {"mcf_compare": True}},
             "config.toggles.mcf_compare: simulate does not run the MCF comparison; use the mcf-compare command",
@@ -145,6 +147,16 @@ def test_simulate_validation_messages(tmp_path, capsys):
     for bad, key in cases:
         path = flat_config(tmp_path, **bad)
         assert_rejected(["simulate", str(path)], key, capsys)
+    # the key stays accepted at 0, the value existing configs send
+    for scheme in ({"filter_strength": 0}, {"filter_strength": 0.0}, {}):
+        parse_run_config(json.loads(flat_config(tmp_path, scheme=scheme).read_text()))
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"m": 1}')
+    for command in ("simulate", "characteristics", "mcf-compare"):
+        assert_rejected([command, str(path)], "not UTF-8", capsys)
 
 
 def test_simulate_cadence_zero_or_beyond_t_end_is_end_only(tmp_path):
@@ -243,6 +255,32 @@ def test_characteristics_bad_state_exits_2(tmp_path):
     assert main(["characteristics", str(path)]) == 2
 
 
+def test_characteristics_validation_messages(tmp_path, capsys):
+    state = {"tau": 1.0, "d": [0.0], "v": [0.0], "minors": [0.0]}
+    cases = [
+        ({"state": dict(state, d=5)}, "state.d"),
+        ({"state": dict(state, v="x")}, "state.v"),
+        ({"state": dict(state, minors={"a": 1})}, "state.minors"),
+        ({"state": dict(state, d=[0.0, 1.0])}, "state.d"),
+        ({"nu": 3}, "nu"),
+        ({"nu": [0.0]}, "nu: must be a nonzero direction"),
+        ({"nu": [1.0, 0.0]}, "nu"),
+        ({"state": dict(state, tau=0.0)}, "state.tau"),
+        ({"state": dict(state, tau=-1.0)}, "state.tau"),
+        ({"state": dict(state, tau=1e-13)}, "state.tau"),
+        ({"schema": 7}, "state file.schema"),
+        ({"m": 9}, "state file.m"),
+        ({"n": 3}, "state file.n"),
+    ]
+    for bad, key in cases:
+        doc = {"m": 1, "n": 1, "state": state, **bad}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert_rejected(["characteristics", str(path)], key, capsys)
+    path.write_text(json.dumps({"schema": 1, "m": 1, "n": 1, "state": state, "nu": [-2.0]}))
+    assert main(["characteristics", str(path)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # mcf-compare
 
@@ -309,6 +347,10 @@ def test_mcf_compare_validation_messages(tmp_path, capsys):
         ({"circle": dict(circle, points="x")}, "config.circle.points"),
         ({"circle": dict(circle, step_factor=0)}, "config.circle.step_factor"),
         ({"graph_flow": {"theta_end": 0.01, "step_factor": -1}}, "config.graph_flow.step_factor"),
+        # the circle of radius r collapses at theta = r^2 / 2
+        ({"circle": dict(circle, theta_end=0.7)}, "config.circle.theta_end: must be below the collapse time"),
+        ({"circle": dict(circle, theta_end=0.5)}, "config.circle.theta_end"),
+        ({"circle": dict(circle, radius=0.2, theta_end=0.03)}, "config.circle.theta_end"),
     ]
     for bad, key in cases:
         path = mcf_config(tmp_path, **bad)

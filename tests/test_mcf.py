@@ -15,7 +15,6 @@ from branesim.mcf import (
     mcf_velocity,
     mean_radius,
     shrinking_circle_radii,
-    stable_dtheta,
     tangency_residual,
 )
 from branesim.solver import Grid, Mode, fourier_series
@@ -116,12 +115,6 @@ def test_step_flat_unchanged():
     E = EmbeddingField.from_graph(g, np.zeros((1, 32)))
     E2 = mcf_step(E, 1e-3)
     assert np.array_equal(E2.X, E.X)
-
-
-def test_stable_dtheta_flat():
-    g = Grid((32,), (TWO_PI,))
-    E = EmbeddingField.from_graph(g, np.zeros((1, 32)))
-    assert stable_dtheta(E) == pytest.approx(0.25 * g.spacing[0] ** 2, rel=1e-12)
 
 
 def test_shrinking_circle_matches_exact_radius():

@@ -8,13 +8,11 @@ import pytest
 from branesim import minors
 from branesim.minors import (
     DomainError,
-    IndexSet,
     all_minors,
     cauchy_binet_check,
     enumerate_layout,
     laplace_mixed,
     minor,
-    ordinal,
     xi,
     xi_minor_sum,
     xi_prime,
@@ -31,32 +29,13 @@ def rand_matrix(rng, m, n):
 
 
 # ---------------------------------------------------------------------------
-# IndexSet / ordinal
-
-
-def test_index_set_validation():
-    IndexSet((), 3)
-    IndexSet((1, 3), 3)
-    with pytest.raises(DomainError):
-        IndexSet((3, 1), 3)
-    with pytest.raises(DomainError):
-        IndexSet((0, 1), 3)
-    with pytest.raises(DomainError):
-        IndexSet((1, 4), 3)
+# ordinals (minors._rank): the parity behind every sign
 
 
 def test_ordinal_examples():
-    assert ordinal((2, 5), 3) == 2
-    assert ordinal((2, 5), 2) == 1
-    assert ordinal((), 7) == 1
-
-
-def test_ordinal_bounds():
-    A = IndexSet((2, 5), 6)
-    with pytest.raises(DomainError):
-        ordinal(A, 7)
-    with pytest.raises(DomainError):
-        ordinal(A, 0)
+    assert minors._rank((2, 5), 3) == 2
+    assert minors._rank((2, 5), 2) == 1
+    assert minors._rank((), 7) == 1
 
 
 def test_ordinal_is_stable_under_insertion():
@@ -66,7 +45,7 @@ def test_ordinal_is_stable_under_insertion():
         A = tuple(sorted(rng.sample(range(1, bound + 1), rng.randint(0, bound))))
         alpha = rng.randint(1, bound)
         merged = tuple(sorted(set(A) | {alpha}))
-        assert ordinal(A, alpha) == ordinal(merged, alpha)
+        assert minors._rank(A, alpha) == minors._rank(merged, alpha)
 
 
 def test_ordinal_swap_parity_exhaustive():
@@ -80,8 +59,8 @@ def test_ordinal_swap_parity_exhaustive():
                     for i in range(1, bound + 1):
                         if i in I:
                             continue
-                        lhs = ordinal(I, i) + ordinal(tuple(sorted(I + (i,))), j)
-                        rhs = ordinal(I, j) + ordinal(tuple(x for x in I if x != j), i) + 1
+                        lhs = minors._rank(I, i) + minors._rank(tuple(sorted(I + (i,))), j)
+                        rhs = minors._rank(I, j) + minors._rank(tuple(x for x in I if x != j), i) + 1
                         assert (lhs - rhs) % 2 == 0
 
 
