@@ -419,7 +419,9 @@ def cmd_characteristics(path: str) -> int:
         for f in fields:
             print(f"{solver._fmt(f.speed)} {f.multiplicity}")
         print(f"linear_degeneracy_residual {solver._fmt(res)}")
-    spectrum = flux.wave_speeds(W, np.asarray(nu) / np.linalg.norm(nu))
+    # scaling by max |nu| first keeps the squares in the norm from overflowing or underflowing
+    nu = np.asarray(nu) / np.max(np.abs(nu))
+    spectrum = flux.wave_speeds(W, nu / np.linalg.norm(nu))
     print("spectrum " + " ".join(solver._fmt(x) for x in spectrum))
     return 0
 

@@ -134,7 +134,7 @@ def mcf_step(E: EmbeddingField, dtheta: float, order: int = 2) -> EmbeddingField
     """One explicit Euler step X <- X + dtheta * velocity."""
     Xn = E.X + dtheta * mcf_velocity(E, order)
     if not np.all(np.isfinite(Xn)):
-        raise BlowUpError(dtheta)
+        raise BlowUpError(float("nan"))
     return EmbeddingField(E.grid, Xn, E.linear)
 
 
@@ -213,8 +213,11 @@ def acceleration_limit_test(
         return out
 
     y = np.concatenate([fld.values, u0], axis=0)
-    for _ in range(substeps):
-        y = _solver.rk4_step(y, dts, rhs)
+    for k in range(1, substeps + 1):
+        try:
+            y = _solver.rk4_step(y, dts, rhs)
+        except BlowUpError:
+            raise BlowUpError(k * dts) from None
 
     a_disc = 2.0 * (y[dim:] - u0) / dt**2
     w_g = graph_gauge_velocity(grid, F0, order)
@@ -246,7 +249,10 @@ def _march(E: EmbeddingField, theta_end: float, step_factor: float, measure):
     values = [measure(E)]
     steps = math.ceil(theta_end / dtheta)
     for k in range(1, steps + 1):
-        E = mcf_step(E, dtheta)
+        try:
+            E = mcf_step(E, dtheta)
+        except BlowUpError:
+            raise BlowUpError(k * dtheta) from None
         thetas.append(k * dtheta)
         values.append(measure(E))
         if thetas[-1] >= theta_end:

@@ -442,7 +442,7 @@ def _snapshot(fld: GridField, t: float) -> dict:
         + [f"d_{a}" for a in range(1, lay.m + 1)]
         + [f"v_{i}" for i in range(1, lay.n + 1)]
         + [f"m_{list(A)}_{list(I)}" for A, I in lay._raw],
-        "values": fld.values.tolist(),
+        "values": fld.values.copy(),
     }
 
 
@@ -525,5 +525,24 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_rows(a: np.ndarray, level: int) -> str:
+    """json.dumps(a.tolist(), indent=1) for an array nested `level` deep.
+
+    Each innermost row goes through the C encoder (json.dumps without indent),
+    whose float formatting is the same repr; only the separators differ.
+    """
+    inner = "\n" + " " * (level + 1)
+    if a.ndim == 1:
+        body = json.dumps(a.tolist())[1:-1].replace(", ", "," + inner)
+    else:
+        body = ("," + inner).join(_json_rows(row, level + 1) for row in a)
+    return "[" + inner + body + "\n" + " " * level + "]"
+
+
 def snapshot_to_json(snap: dict) -> str:
-    return json.dumps(snap, indent=1, sort_keys=True)
+    """json.dumps(snap, indent=1, sort_keys=True) with the values array as nested lists.
+
+    "values" sorts last among the keys, so its block goes before the closing brace.
+    """
+    head = json.dumps({k: v for k, v in snap.items() if k != "values"}, indent=1, sort_keys=True)
+    return head[:-2] + ',\n "values": ' + _json_rows(snap["values"], 1) + "\n}"

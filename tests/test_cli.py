@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +253,20 @@ def test_characteristics_n2_numeric(tmp_path, capsys):
     assert spec == sorted(spec)
 
 
+def test_characteristics_extreme_nu_scales(tmp_path, capsys):
+    # the norm of [1e200, 1e200] overflows and that of [1e-200, 1e-200] underflows unless nu is scaled first
+    doc = {"m": 1, "n": 2, "state": {"tau": 0.8, "d": [0.1], "v": [0.2, -0.1], "minors": [0.3, 0.1]}}
+    path = tmp_path / "state.json"
+    spectra = []
+    for nu in ([1.0, 1.0], [1e200, 1e200], [1e-200, 1e-200]):
+        path.write_text(json.dumps({**doc, "nu": nu}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["characteristics", str(path)]) == 0
+        spectra.append(capsys.readouterr().out)
+    assert spectra[1] == spectra[0] and spectra[2] == spectra[0]
+
+
 def test_characteristics_bad_state_exits_2(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"m": 1, "n": 1, "state": {"tau": 1.0, "d": [], "v": [0.0], "minors": [0.0]}}))
@@ -395,3 +413,18 @@ def test_threads_flag_validation(tmp_path, capsys):
     assert_rejected(["simulate", str(path), "--threads", "2"], "--threads", capsys)
     # as a leading flag its value is read as the command, which argparse names instead
     assert_rejected(["--threads", "2", "simulate", str(path)], "invalid choice: '2'", capsys)
+
+
+def test_python_m_branesim_runs_without_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "branesim", "verify", "--samples", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)

@@ -190,3 +190,30 @@ def test_acceleration_rejects_bad_dt():
     g = Grid((64,), (TWO_PI,))
     with pytest.raises(solver.ConfigError):
         acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 0.0)
+
+
+def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
+    real = mcf.mcf_velocity
+    calls = []
+
+    def nan_on_third_call(E, order=2):
+        calls.append(1)
+        vel = real(E, order)
+        return vel * math.nan if len(calls) == 3 else vel
+
+    monkeypatch.setattr(mcf, "mcf_velocity", nan_on_third_call)
+    dtheta = 0.1 * min(circle_embedding(64, 1.0).grid.spacing) ** 2
+    with pytest.raises(solver.BlowUpError) as info:
+        shrinking_circle_radii(64, 1.0, 0.25)
+    assert info.value.t == 3 * dtheta
+    assert f"t={3 * dtheta:.6g}" in str(info.value)
+
+
+def test_acceleration_blowup_reports_substep_time(monkeypatch):
+    # dt is well below the CFL step, so it is split into 2 substeps of dt / 2
+    real = solver.rhs_augmented
+    monkeypatch.setattr(solver, "rhs_augmented", lambda fld, order=2: real(fld, order) * math.nan)
+    g = Grid((64,), (TWO_PI,))
+    with pytest.raises(solver.BlowUpError) as info:
+        acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 1e-3)
+    assert info.value.t == 1e-3 / 2

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -340,3 +341,33 @@ def test_csv_rows_format():
     assert lines[0] == solver.CSV_HEADER
     # optional oracle columns stay empty when the oracle is off
     assert lines[1].endswith(",,")
+
+
+def reference_snapshot_json(snap):
+    # nested lists through json's pure-Python indenting encoder: the format the files must keep
+    return json.dumps({**snap, "values": snap["values"].tolist()}, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("sizes", [(12,), (9, 10)])
+def test_snapshot_json_matches_reference(m, sizes):
+    g = Grid(sizes, (TWO_PI,) * len(sizes))
+    wave = (1,) * len(sizes)
+    x = [Mode(a, wave, 0.1 / a, 0.3 * a) for a in range(1, m + 1)]
+    fld, _, _ = initial_fields(g, m, x, [Mode(1, wave, 0.05, 0.7)])
+    snap = solver._snapshot(fld, 0.125)
+    assert solver.snapshot_to_json(snap) == reference_snapshot_json(snap)
+
+
+def test_snapshot_json_special_floats_match_reference():
+    g = Grid((8, 8), (TWO_PI, TWO_PI))
+    lay = enumerate_layout(2, 2)
+    vals = np.linspace(-3.0, 3.0, lay.state_dim * 64).reshape(lay.state_dim, 8, 8)
+    special = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf, 0.1, 1 / 3, -1e-300]
+    # across row ends, where the separators change
+    vals[0].flat[: len(special)] = special
+    vals[-1].flat[-len(special) :] = special
+    snap = solver._snapshot(GridField(g, lay, vals), 0.0)
+    text = solver.snapshot_to_json(snap)
+    assert text == reference_snapshot_json(snap)
+    assert "-0.0,\n" in text and "5e-324" in text and "1e+16" in text and "NaN" in text and "-Infinity" in text
