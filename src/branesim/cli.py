@@ -121,9 +121,9 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
     )
     scheme = data.get("scheme", {})
     _require_keys(scheme, {"stencil_order": False, "cfl": False, **scheme_keys}, "config.scheme")
-    order = _integer(scheme.get("stencil_order", 2), "config.scheme.stencil_order")
-    if order not in (2, 4):
-        raise ConfigError("config.scheme.stencil_order: must be 2 or 4")
+    # accepted as 2 only, the value existing configs send
+    if _integer(scheme.get("stencil_order", 2), "config.scheme.stencil_order") != 2:
+        raise ConfigError("config.scheme.stencil_order: must be 2; the stencil is second-order central differences")
     cfl = _finite(scheme.get("cfl", 0.4), "config.scheme.cfl")
     if not 0 < cfl <= 1:
         raise ConfigError("config.scheme.cfl: must lie in (0, 1]")
@@ -136,7 +136,6 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
         "m": m,
         "n": n,
         "grid": grid,
-        "stencil_order": order,
         "cfl": cfl,
         "x_modes": _parse_modes(init["X_modes"], m, n, "config.initial_data.X_modes"),
         "v_modes": _parse_modes(init.get("V_modes", []), m, n, "config.initial_data.V_modes"),
@@ -151,7 +150,6 @@ class RunConfig:
     m: int
     n: int
     grid: Grid
-    stencil_order: int
     cfl: float
     t_end: float
     output_cadence: float
@@ -327,27 +325,32 @@ def cmd_verify(shapes=DEFAULT_VERIFY_SHAPES, samples: int = 200, seed: int = 0) 
 # simulate
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _output_dir(flag: str | None, configured: str) -> Path:
+    """The --output-dir flag, else config.output_dir; created before the run, so a bad path exits 2 early."""
+    out_dir = Path(flag or configured)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = "--output-dir" if flag else "config.output_dir"
+        raise ConfigError(f"{where}: cannot create directory {out_dir} ({exc.strerror or exc})") from None
+    return out_dir
 
 
 def _write_run(out_dir: Path, rows, snapshots):
-    _write(out_dir / "diagnostics.csv", solver.rows_to_csv(rows))
+    (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(rows))
     for t, snap in snapshots:
-        _write(out_dir / f"snapshot_t{t:.6f}.json", solver.snapshot_to_json(snap))
+        (out_dir / f"snapshot_t{t:.6f}.json").write_text(solver.snapshot_to_json(snap))
 
 
 def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
-    out_dir = Path(output_dir or cfg.output_dir)
     fld, oracle, _ = solver.initial_fields(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
+    out_dir = _output_dir(output_dir, cfg.output_dir)
     try:
         result = solver.run(
             fld,
             t_end=cfg.t_end,
             cfl=cfg.cfl,
-            order=cfg.stencil_order,
             output_cadence=cfg.output_cadence,
             oracle=oracle if cfg.oracle_compare else None,
             snapshot_cadence=cfg.snapshot_cadence,
@@ -440,6 +443,8 @@ def parse_mcf_config(data: dict) -> dict:
     if not isinstance(dts, list) or not dts:
         raise ConfigError("config.dt_values: expected a non-empty list")
     cfg["dt_values"] = [_positive(x, "config.dt_values") for x in dts]
+    if len(set(cfg["dt_values"])) != len(dts):
+        raise ConfigError("config.dt_values: entries must be distinct; the order in dt is fitted across them")
     cfg["circle"] = cfg["graph_flow"] = None
     if "circle" in data:
         c = data["circle"]
@@ -451,6 +456,8 @@ def parse_mcf_config(data: dict) -> dict:
             "step_factor": _positive(c.get("step_factor", 0.1), "config.circle.step_factor"),
         }
         collapse = cfg["circle"]["radius"] * cfg["circle"]["radius"] / 2  # inf, not OverflowError, for huge radii
+        if not math.isfinite(collapse):
+            raise ConfigError("config.circle.radius: too large; radius^2 overflows")
         if cfg["circle"]["theta_end"] >= collapse:
             raise ConfigError(
                 f"config.circle.theta_end: must be below the collapse time radius^2 / 2 = {collapse:.17g}"
@@ -478,19 +485,17 @@ def measured_order(errors, steps) -> float | None:
 def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_mcf_config(load_json(config_path))
     grid = cfg["grid"]
-    out_dir = Path(output_dir or cfg["output_dir"])
+    out_dir = _output_dir(output_dir, cfg["output_dir"])
     lines = ["t,err_acceleration_Linf,tangency_residual,radius_or_amplitude"]
 
     u0, _ = solver.fourier_series(cfg["x_modes"], grid, cfg["m"])
     E0 = mcf.EmbeddingField.from_graph(grid, u0)
-    tan0 = mcf.tangency_residual(E0, cfg["stencil_order"])
+    tan0 = mcf.tangency_residual(E0)
     amp0 = float(np.max(np.abs(u0)))
 
     errors = []
     for dt in cfg["dt_values"]:
-        err = mcf.acceleration_limit_test(
-            grid, cfg["m"], cfg["x_modes"], dt, order=cfg["stencil_order"], cfl=cfg["cfl"]
-        )
+        err = mcf.acceleration_limit_test(grid, cfg["m"], cfg["x_modes"], dt, cfl=cfg["cfl"])
         errors.append(err)
         lines.append(",".join([solver._fmt(dt), solver._fmt(err), solver._fmt(tan0), solver._fmt(amp0)]))
 
@@ -516,7 +521,7 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
         for t, a in zip(thetas[:: max(1, len(thetas) // 32)], amps[:: max(1, len(thetas) // 32)]):
             lines.append(",".join([solver._fmt(t), "", solver._fmt(tan0), solver._fmt(a)]))
 
-    _write(out_dir / "mcf_compare.csv", "\n".join(lines) + "\n")
+    (out_dir / "mcf_compare.csv").write_text("\n".join(lines) + "\n")
     print(f"comparison written to {out_dir / 'mcf_compare.csv'}")
     return 0
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .minors import DomainError, MinorLayout, _rank, _sign, enumerate_layout
-from .state import ConservativeState, PrimitiveState, EPS_SINGULAR, _guard
+from .state import ConservativeState, PrimitiveState, _guard
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +212,13 @@ def rhs_nonconservative_point(W: PrimitiveState, grads) -> PrimitiveState:
     return PrimitiveState.from_vector(out, lay)
 
 
-def conservative_flux(j: int, U: ConservativeState, eps: float = EPS_SINGULAR):
+def conservative_flux(j: int, U: ConservativeState):
     """Flux vector of the conservation-law form in direction j."""
     lay = U.layout
     m, n = lay.m, lay.n
     if not 1 <= j <= n:
         raise DomainError(f"direction {j} out of range 1..{n}")
-    _guard(U.h, eps, "|h|")
+    _guard(U.h, "|h|")
     h = U.h
     Mv = U.minor_value
     out = [0] * lay.state_dim
@@ -273,9 +273,9 @@ def conservative_flux(j: int, U: ConservativeState, eps: float = EPS_SINGULAR):
     return out
 
 
-def entropy(U: ConservativeState, eps: float = EPS_SINGULAR):
+def entropy(U: ConservativeState):
     """S = (1 + |D|^2 + |P|^2 + sum M^2) / (2h); strictly convex on h > 0."""
-    _guard(U.h, eps, "|h|")
+    _guard(U.h, "|h|")
     num = 1
     for x in U.D:
         num = num + x * x
@@ -286,17 +286,17 @@ def entropy(U: ConservativeState, eps: float = EPS_SINGULAR):
     return num / (2 * U.h)
 
 
-def entropy_flux(U: ConservativeState, j: int, eps: float = EPS_SINGULAR):
+def entropy_flux(U: ConservativeState, j: int):
     """Entropy flux in direction j paired with the conservative fluxes."""
     lay = U.layout
     n = lay.n
     if not 1 <= j <= n:
         raise DomainError(f"direction {j} out of range 1..{n}")
-    _guard(U.h, eps, "|h|")
+    _guard(U.h, "|h|")
     h = U.h
     h2 = h * h
     Mv = U.minor_value
-    S = entropy(U, eps)
+    S = entropy(U)
     out = S * U.P[j - 1] / h
 
     for A, I in lay._raw:
@@ -370,7 +370,7 @@ def char_speeds_n1(W: PrimitiveState):
     return lp, lm, (CharField(lp, m + 1, plus), CharField(lm, m + 1, minus))
 
 
-def linear_degeneracy_residual(W: PrimitiveState, rel_step: float = 1e-5, eps: float = EPS_SINGULAR) -> float:
+def linear_degeneracy_residual(W: PrimitiveState) -> float:
     """max |grad(speed) . char vector| by central differences (n = 1).
 
     The speeds (P +/- 1)/h are differentiated in the conservative variables
@@ -378,7 +378,7 @@ def linear_degeneracy_residual(W: PrimitiveState, rel_step: float = 1e-5, eps: f
     """
     lay = W.layout
     _require_n1(lay)
-    _guard(W.tau, eps, "|tau|")
+    _guard(W.tau, "|tau|")
     m = lay.m
     h = 1.0 / W.tau
     P = W.v[0] * h
@@ -406,7 +406,7 @@ def linear_degeneracy_residual(W: PrimitiveState, rel_step: float = 1e-5, eps: f
             vnorm = float(np.max(np.abs(vec)))
             if vnorm == 0.0:
                 continue
-            step = rel_step * scale / vnorm
+            step = 1e-5 * scale / vnorm  # relative finite-difference step
             g = (speed(U + step * vec, s) - speed(U - step * vec, s)) / (2 * step)
             worst = max(worst, abs(float(g)))
     return worst

@@ -69,13 +69,11 @@ class EmbeddingField:
         points = np.asarray(points, dtype=float)
         return cls(grid, points, np.zeros((points.shape[0], grid.n)))
 
-    def gradients(self, order: int = 2) -> np.ndarray:
+    def gradients(self) -> np.ndarray:
         """d_i of the embedding, shape (ncomp, n, *sizes): stencil of X plus the ramp."""
         out = np.empty((self.ncomp, self.grid.n, *self.grid.sizes))
         for j in range(self.grid.n):
-            out[:, j] = derivative(self.X, self.grid, j, order) + self.linear[:, j].reshape(
-                (-1,) + (1,) * self.grid.n
-            )
+            out[:, j] = derivative(self.X, self.grid, j) + self.linear[:, j].reshape((-1,) + (1,) * self.grid.n)
         return out
 
 
@@ -99,40 +97,40 @@ def _metric_from_gradients(dX: np.ndarray):
     return g, detg, ginv
 
 
-def induced_metric(E: EmbeddingField, order: int = 2):
+def induced_metric(E: EmbeddingField):
     """(g_ij, det g, g^ij) per point; raises if the metric degenerates."""
-    return _metric_from_gradients(E.gradients(order))
+    return _metric_from_gradients(E.gradients())
 
 
-def _divergence(dX: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+def _divergence(dX: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X) from dX, shape (ncomp, *sizes)."""
     g, detg, ginv = _metric_from_gradients(dX)
     sq = np.sqrt(detg)
     vel = np.zeros((dX.shape[0], *grid.sizes))
     for i in range(grid.n):
         flux = sq * np.einsum("j...,cj...->c...", ginv[i], dX)
-        vel += derivative(flux, grid, i, order)
+        vel += derivative(flux, grid, i)
     return vel / sq
 
 
-def mcf_velocity(E: EmbeddingField, order: int = 2) -> np.ndarray:
+def mcf_velocity(E: EmbeddingField) -> np.ndarray:
     """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X), shape (ncomp, *sizes)."""
-    return _divergence(E.gradients(order), E.grid, order)
+    return _divergence(E.gradients(), E.grid)
 
 
-def tangency_residual(E: EmbeddingField, order: int = 2) -> float:
+def tangency_residual(E: EmbeddingField) -> float:
     """Linf over points and directions of <mcf velocity, d_i X>."""
-    dX = E.gradients(order)
-    vel = mcf_velocity(E, order)
+    dX = E.gradients()
+    vel = mcf_velocity(E)
     worst = 0.0
     for i in range(E.grid.n):
         worst = max(worst, float(np.max(np.abs(np.einsum("c...,c...->...", vel, dX[:, i])))))
     return worst
 
 
-def mcf_step(E: EmbeddingField, dtheta: float, order: int = 2) -> EmbeddingField:
+def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
     """One explicit Euler step X <- X + dtheta * velocity."""
-    Xn = E.X + dtheta * mcf_velocity(E, order)
+    Xn = E.X + dtheta * mcf_velocity(E)
     if not np.all(np.isfinite(Xn)):
         raise BlowUpError(float("nan"))
     return EmbeddingField(E.grid, Xn, E.linear)
@@ -142,7 +140,7 @@ def mcf_step(E: EmbeddingField, dtheta: float, order: int = 2) -> EmbeddingField
 # the short-time limit
 
 
-def graph_gauge_velocity(grid: Grid, F0: np.ndarray, order: int = 2) -> np.ndarray:
+def graph_gauge_velocity(grid: Grid, F0: np.ndarray) -> np.ndarray:
     """Mean-curvature velocity of a graph slice, expressed in the graph gauge.
 
     ``F0`` holds the height gradients (m, n, *sizes); they enter the metric
@@ -157,7 +155,7 @@ def graph_gauge_velocity(grid: Grid, F0: np.ndarray, order: int = 2) -> np.ndarr
         for k in range(n):
             dX[k, j] = 1.0 if j == k else 0.0
         dX[n:, j] = F0[:, j]
-    w = _divergence(dX, grid, order)
+    w = _divergence(dX, grid)
     out = w[n:]
     for alpha in range(m):
         for k in range(n):
@@ -178,15 +176,7 @@ def _height_velocity(fld: GridField) -> np.ndarray:
     return out
 
 
-def acceleration_limit_test(
-    grid: Grid,
-    m: int,
-    x_modes,
-    dt: float,
-    *,
-    order: int = 2,
-    cfl: float = 0.4,
-) -> float:
+def acceleration_limit_test(grid: Grid, m: int, x_modes, dt: float, *, cfl: float = 0.4) -> float:
     """Linf error between the discrete initial acceleration and the MCF velocity.
 
     Starts the augmented evolution from velocity-free graph data (m heights
@@ -208,7 +198,7 @@ def acceleration_limit_test(
     def rhs(y):
         wfld = GridField(grid, lay, y[:dim])
         out = np.empty_like(y)
-        out[:dim] = _solver.rhs_augmented(wfld, order)
+        out[:dim] = _solver.rhs_augmented(wfld)
         out[dim:] = _height_velocity(wfld)
         return out
 
@@ -220,7 +210,7 @@ def acceleration_limit_test(
             raise BlowUpError(k * dts) from None
 
     a_disc = 2.0 * (y[dim:] - u0) / dt**2
-    w_g = graph_gauge_velocity(grid, F0, order)
+    w_g = graph_gauge_velocity(grid, F0)
     return float(np.max(np.abs(a_disc - w_g)))
 
 
@@ -239,12 +229,11 @@ def mean_radius(E: EmbeddingField) -> float:
     return float(np.mean(np.sqrt(np.sum(E.X**2, axis=0))))
 
 
-def _march(E: EmbeddingField, theta_end: float, step_factor: float, measure):
-    """Explicit MCF march at dtheta = step_factor * min(dx)^2 up to theta_end.
+def _march(E: EmbeddingField, theta_end: float, dtheta: float, measure):
+    """Explicit MCF march at step dtheta up to theta_end.
 
     Returns (thetas, measure(E) at each theta), both including theta = 0.
     """
-    dtheta = step_factor * min(E.grid.spacing) ** 2
     thetas = [0.0]
     values = [measure(E)]
     steps = math.ceil(theta_end / dtheta)
@@ -261,12 +250,20 @@ def _march(E: EmbeddingField, theta_end: float, step_factor: float, measure):
 
 
 def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_factor: float = 0.1):
-    """March a circle under MCF; returns (thetas, radii) including theta = 0."""
-    return _march(circle_embedding(points, radius), theta_end, step_factor, mean_radius)
+    """March a circle under MCF; returns (thetas, radii) including theta = 0.
+
+    The explicit step is stable for dtheta up to a multiple of the squared
+    arclength spacing, radius * du, so the step scales with the radius too.
+    """
+    E = circle_embedding(points, radius)
+    ds = radius * E.grid.spacing[0]
+    dtheta = step_factor * ds * ds
+    return _march(E, theta_end, dtheta, mean_radius)
 
 
 def graph_amplitude_decay(grid: Grid, m: int, x_modes, theta_end: float, step_factor: float = 0.1):
     """March the graph of m heights under MCF; returns (thetas, max |heights|)."""
     u, _ = fourier_series(x_modes, grid, m)
     E = EmbeddingField.from_graph(grid, u)
-    return _march(E, theta_end, step_factor, lambda E: float(np.max(np.abs(E.X[grid.n :]))))
+    dtheta = step_factor * min(grid.spacing) ** 2
+    return _march(E, theta_end, dtheta, lambda E: float(np.max(np.abs(E.X[grid.n :]))))

@@ -24,6 +24,7 @@ import numpy as np
 from . import flux as _flux
 from .minors import MinorLayout, _rank, _sign, enumerate_layout
 from .state import (
+    EPS_SINGULAR,
     GraphData,
     PrimitiveState,
     SingularStateError,
@@ -129,34 +130,24 @@ def time_flip(values: np.ndarray, layout: MinorLayout) -> np.ndarray:
 # stencils
 
 
-def derivative(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
-    """Central difference along spatial axis (0-based) with periodic wrap.
+def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Second-order central difference along spatial axis (0-based) with periodic wrap.
 
     Acts on the trailing grid axes, so leading component axes pass through.
     """
     if axis < 0 or axis >= grid.n:
         raise ConfigError(f"axis {axis} out of range for {grid.n}-d grid")
     ax = values.ndim - grid.n + axis
-    dx = grid.spacing[axis]
-    if order == 2:
-        return (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2 * dx)
-    if order == 4:
-        return (
-            -np.roll(values, -2, ax)
-            + 8 * np.roll(values, -1, ax)
-            - 8 * np.roll(values, 1, ax)
-            + np.roll(values, 2, ax)
-        ) / (12 * dx)
-    raise ConfigError(f"unsupported stencil order {order}")
+    return (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2 * grid.spacing[axis])
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def rhs_augmented(fld: GridField, order: int = 2) -> np.ndarray:
+def rhs_augmented(fld: GridField) -> np.ndarray:
     """d_t W on the whole grid; the pointwise term table applied with stencils."""
-    grads = [derivative(fld.values, fld.grid, j, order) for j in range(fld.grid.n)]
+    grads = [derivative(fld.values, fld.grid, j) for j in range(fld.grid.n)]
     return _flux.apply_terms(fld.layout, fld.values, grads, np.zeros_like(fld.values))
 
 
@@ -184,7 +175,7 @@ def _xi_and_xi_prime(F: np.ndarray):
     raise ConfigError("oracle closed forms cover n = 1 and n = 2 only")
 
 
-def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, order: int = 2):
+def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid):
     """d_t (F, D) of the original graph system on the grid."""
     m, n = F.shape[0], F.shape[1]
     if n != grid.n:
@@ -197,8 +188,8 @@ def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, order: int = 2):
     for alpha in range(m):
         base = D[alpha] + np.einsum("j...,j...->...", F[alpha], P)
         for i in range(n):
-            dF[alpha, i] = -derivative(base / h, grid, i, order)
-            dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha, i]) / h, grid, i, order)
+            dF[alpha, i] = -derivative(base / h, grid, i)
+            dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha, i]) / h, grid, i)
     return dF, dD
 
 
@@ -247,7 +238,7 @@ def cfl_dt(fld: GridField, cfl: float) -> float:
     return cfl * dx / smax
 
 
-def sigma_residual(fld: GridField, order: int = 2, eps: float = 1e-12) -> dict:
+def sigma_residual(fld: GridField) -> dict:
     """Discrete sigma_{A',I} = sum_{i in I} (-1)^{O_I(i)} d_i (m_{A',I\\{i}} / tau).
 
     Vanishes analytically on lifted data; empty for n = 1 where no index set
@@ -256,7 +247,7 @@ def sigma_residual(fld: GridField, order: int = 2, eps: float = 1e-12) -> dict:
     lay = fld.layout
     n, r = lay.n, lay.r
     tau = fld.values[0]
-    if np.min(np.abs(tau)) <= eps:
+    if np.min(np.abs(tau)) <= EPS_SINGULAR:
         raise SingularStateError("tau is too small for sigma reconstruction")
     out = {}
     for kI in range(2, min(n, r + 1) + 1):
@@ -267,13 +258,16 @@ def sigma_residual(fld: GridField, order: int = 2, eps: float = 1e-12) -> dict:
                     Icut = tuple(x for x in I if x != i)
                     slot = lay.state_slot(Ap, Icut)
                     ratio = fld.values[slot] / tau
-                    acc += _sign(_rank(I, i)) * derivative(ratio, fld.grid, i - 1, order)
+                    acc += _sign(_rank(I, i)) * derivative(ratio, fld.grid, i - 1)
                 out[(Ap, I)] = acc
     return out
 
 
 # ---------------------------------------------------------------------------
 # initial data
+
+# smallest accepted 1 - V^T (I + F F^T)^{-1} V, the time-like slack of the initial data
+TIMELIKE_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -305,11 +299,11 @@ def fourier_series(modes, grid: Grid, m: int):
     return u, du
 
 
-def graph_momentum(F: np.ndarray, V: np.ndarray, margin: float = 0.05) -> np.ndarray:
+def graph_momentum(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     """D = h (I + F F^T)^{-1} V with h eliminated in closed form.
 
     Rejects data that is not comfortably time-like, i.e. whenever
-    1 - V^T (I + F F^T)^{-1} V < margin anywhere.
+    1 - V^T (I + F F^T)^{-1} V < TIMELIKE_MARGIN anywhere.
     """
     m = F.shape[0]
     npts = int(np.prod(F.shape[2:])) if F.ndim > 2 else 1
@@ -320,9 +314,9 @@ def graph_momentum(F: np.ndarray, V: np.ndarray, margin: float = 0.05) -> np.nda
     W = np.linalg.solve(zeta, Vr.T[..., None])[..., 0]  # (npts, m)
     q = np.einsum("pa,ap->p", W, Vr)
     slack = 1.0 - q
-    if np.min(slack) < margin:
+    if np.min(slack) < TIMELIKE_MARGIN:
         raise TimelikeError(
-            f"initial data is not time-like enough: min(1 - V zeta^-1 V) = {np.min(slack):.6g} < {margin}"
+            f"initial data is not time-like enough: min(1 - V zeta^-1 V) = {np.min(slack):.6g} < {TIMELIKE_MARGIN}"
         )
     # xi = det(I_n + F^T F) pointwise
     n = F.shape[1]
@@ -333,7 +327,7 @@ def graph_momentum(F: np.ndarray, V: np.ndarray, margin: float = 0.05) -> np.nda
     return D.reshape(m, *shape) if shape else D[:, 0]
 
 
-def initial_fields(grid: Grid, m: int, x_modes, v_modes, margin: float = 0.05):
+def initial_fields(grid: Grid, m: int, x_modes, v_modes):
     """(W field, oracle (F, D), heights) from Fourier graph data.
 
     F comes from analytic differentiation and D from the velocity relation,
@@ -342,7 +336,7 @@ def initial_fields(grid: Grid, m: int, x_modes, v_modes, margin: float = 0.05):
     layout = enumerate_layout(m, grid.n)
     u, F = fourier_series(x_modes, grid, m)
     V, _ = fourier_series(v_modes, grid, m)
-    D = graph_momentum(F, V, margin)
+    D = graph_momentum(F, V)
     W = to_primitive(lift(GraphData(F, D), layout))
     return GridField(grid, layout, W.as_vector()), (F.copy(), np.asarray(D, dtype=float).copy()), u
 
@@ -369,19 +363,19 @@ _ROW_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
 CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
-def _entropy_residual_field(fld: GridField, order: int) -> np.ndarray:
+def _entropy_residual_field(fld: GridField) -> np.ndarray:
     """Discrete d_t S + div(entropy flux) along the actual evolution."""
     n = fld.layout.n
     v = fld.values
     tau = v[0]
-    wt = rhs_augmented(fld, order)
+    wt = rhs_augmented(fld)
     Q = np.sum(v[1:] * v[1:], axis=0)
     dS = 0.5 * (1.0 - Q / (tau * tau)) * wt[0]
     dS += np.sum(v[1:] * wt[1:], axis=0) / tau
     U = to_conservative(fld.state_view())
     res = dS
     for j in range(1, n + 1):
-        res = res + derivative(np.asarray(_flux.entropy_flux(U, j)), fld.grid, j - 1, order)
+        res = res + derivative(np.asarray(_flux.entropy_flux(U, j)), fld.grid, j - 1)
     return res
 
 
@@ -390,14 +384,14 @@ def _oracle_errors(fld: GridField, F: np.ndarray, D: np.ndarray):
     return float(np.max(np.abs(np.asarray(g.F) - F))), float(np.max(np.abs(np.asarray(g.D) - D)))
 
 
-def diagnostics(fld: GridField, t: float, order: int = 2, oracle=None) -> DiagnosticsRow:
+def diagnostics(fld: GridField, t: float, oracle=None) -> DiagnosticsRow:
     vol = fld.grid.cell_volume
     tau = fld.values[0]
     energy = float(np.sum(1.0 / tau) * vol)
     res = constraint_residuals(fld.state_view())
-    ent = _entropy_residual_field(fld, order)
+    ent = _entropy_residual_field(fld)
     ent_l2 = float(np.sqrt(np.sum(ent * ent) * vol))
-    sig = sigma_residual(fld, order)
+    sig = sigma_residual(fld)
     sig_linf = max((float(np.max(np.abs(v))) for v in sig.values()), default=0.0)
     row = DiagnosticsRow(
         t=t,
@@ -451,7 +445,6 @@ def run(
     *,
     t_end: float,
     cfl: float = 0.4,
-    order: int = 2,
     output_cadence: float = 0.0,
     oracle=None,
     snapshot_cadence: float | None = None,
@@ -474,11 +467,11 @@ def run(
     snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
 
     ora = None if oracle is None else (oracle[0].copy(), oracle[1].copy())
-    rows = [diagnostics(fld, 0.0, order, ora)]
+    rows = [diagnostics(fld, 0.0, ora)]
     snapshots = [] if snap_every is None else [(0.0, _snapshot(fld, 0.0))]
 
     def rhs_w(values):
-        return rhs_augmented(GridField(fld.grid, fld.layout, values), order)
+        return rhs_augmented(GridField(fld.grid, fld.layout, values))
 
     t = 0.0
     for k in range(1, steps + 1):
@@ -491,9 +484,7 @@ def run(
                 y0 = np.concatenate([Fo.reshape(m * nd, -1), Do.reshape(m, -1)], axis=0)
 
                 def rhs_pack(y):
-                    dF, dD = rhs_original(
-                        y[: m * nd].reshape(Fo.shape), y[m * nd :].reshape(Do.shape), fld.grid, order
-                    )
+                    dF, dD = rhs_original(y[: m * nd].reshape(Fo.shape), y[m * nd :].reshape(Do.shape), fld.grid)
                     return np.concatenate([dF.reshape(m * nd, -1), dD.reshape(m, -1)], axis=0)
 
                 y1 = rk4_step(y0, dt, rhs_pack)
@@ -502,7 +493,7 @@ def run(
             raise BlowUpError(t + dt, rows, snapshots) from None
         t = k * dt
         if k % out_every == 0 or k == steps:
-            rows.append(diagnostics(fld, t, order, ora))
+            rows.append(diagnostics(fld, t, ora))
         if snap_every is not None and (k % snap_every == 0 or k == steps):
             snapshots.append((t, _snapshot(fld, t)))
     return RunResult(rows, snapshots, fld, ora, dt, steps)

@@ -157,28 +157,28 @@ def lift(g: GraphData, layout: MinorLayout | None = None) -> ConservativeState:
     return ConservativeState(np.sqrt(h2), D, P, M, layout)
 
 
-def _guard(value, eps, what):
-    if np.min(np.abs(value)) <= eps:
-        raise SingularStateError(f"{what} is below {eps} somewhere")
+def _guard(value, what):
+    if np.min(np.abs(value)) <= EPS_SINGULAR:
+        raise SingularStateError(f"{what} is below {EPS_SINGULAR} somewhere")
 
 
-def to_primitive(U: ConservativeState, eps: float = EPS_SINGULAR) -> PrimitiveState:
+def to_primitive(U: ConservativeState) -> PrimitiveState:
     """W = U / h."""
-    _guard(U.h, eps, "|h|")
+    _guard(U.h, "|h|")
     h = U.h
     return PrimitiveState(1 / h, [x / h for x in U.D], [x / h for x in U.P], [x / h for x in U.M], U.layout)
 
 
-def to_conservative(W: PrimitiveState, eps: float = EPS_SINGULAR) -> ConservativeState:
+def to_conservative(W: PrimitiveState) -> ConservativeState:
     """U = W / tau."""
-    _guard(W.tau, eps, "|tau|")
+    _guard(W.tau, "|tau|")
     t = W.tau
     return ConservativeState(1 / t, [x / t for x in W.d], [x / t for x in W.v], [x / t for x in W.m_minors], W.layout)
 
 
-def reconstruct_graph(W: PrimitiveState, eps: float = EPS_SINGULAR) -> GraphData:
+def reconstruct_graph(W: PrimitiveState) -> GraphData:
     """Recover (F, D) from a primitive state: F_{ai} = m_{ai}/tau, D = d/tau."""
-    _guard(W.tau, eps, "|tau|")
+    _guard(W.tau, "|tau|")
     lay = W.layout
     F = [
         [W.m_minors[lay.slot((a,), (i,))] / W.tau for i in range(1, lay.n + 1)]

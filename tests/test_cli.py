@@ -131,6 +131,7 @@ def test_simulate_validation_messages(tmp_path, capsys):
         ({"m": 1.5}, "config.m"),
         ({"scheme": {"stencil_order": "a"}}, "config.scheme.stencil_order"),
         ({"scheme": {"stencil_order": 3}}, "config.scheme.stencil_order"),
+        ({"scheme": {"stencil_order": 4}}, "config.scheme.stencil_order: must be 2"),
         ({"grid": {"sizes": [64.7], "lengths": [6.0]}}, "config.grid.sizes"),
         ({"initial_data": {"X_modes": [dict(mode, component="x")]}}, "config.initial_data.X_modes[0].component"),
         ({"initial_data": {"X_modes": [dict(mode, component=1.5)]}}, "config.initial_data.X_modes[0].component"),
@@ -151,8 +152,8 @@ def test_simulate_validation_messages(tmp_path, capsys):
     for bad, key in cases:
         path = flat_config(tmp_path, **bad)
         assert_rejected(["simulate", str(path)], key, capsys)
-    # the key stays accepted at 0, the value existing configs send
-    for scheme in ({"filter_strength": 0}, {"filter_strength": 0.0}, {}):
+    # the keys stay accepted at the values existing configs send
+    for scheme in ({"filter_strength": 0}, {"filter_strength": 0.0}, {"stencil_order": 2}, {"stencil_order": 2.0}, {}):
         parse_run_config(json.loads(flat_config(tmp_path, scheme=scheme).read_text()))
 
 
@@ -358,9 +359,12 @@ def test_mcf_compare_validation_messages(tmp_path, capsys):
         ({"grid": {"sizes": [64.7], "lengths": [6.0]}}, "config.grid.sizes"),
         ({"scheme": {"stencil_order": 3}}, "config.scheme.stencil_order"),
         ({"scheme": {"stencil_order": "a"}}, "config.scheme.stencil_order"),
+        ({"scheme": {"stencil_order": 4}}, "config.scheme.stencil_order: must be 2"),
         ({"scheme": {"cfl": 5.0}}, "config.scheme.cfl"),
         ({"initial_data": {"X_modes": [dict(mode, component=1.5)]}}, "config.initial_data.X_modes[0].component"),
         ({"dt_values": [0.0]}, "config.dt_values"),
+        ({"dt_values": [0.004, 0.004]}, "config.dt_values: entries must be distinct"),
+        ({"dt_values": [0.004, 0.002, 0.004]}, "config.dt_values"),
         ({"circle": dict(circle, points=64.7)}, "config.circle.points"),
         ({"circle": dict(circle, points="x")}, "config.circle.points"),
         ({"circle": dict(circle, step_factor=0)}, "config.circle.step_factor"),
@@ -369,10 +373,28 @@ def test_mcf_compare_validation_messages(tmp_path, capsys):
         ({"circle": dict(circle, theta_end=0.7)}, "config.circle.theta_end: must be below the collapse time"),
         ({"circle": dict(circle, theta_end=0.5)}, "config.circle.theta_end"),
         ({"circle": dict(circle, radius=0.2, theta_end=0.03)}, "config.circle.theta_end"),
+        # the arclength step (radius * du)^2 and the mean radius overflow with radius^2
+        ({"circle": dict(circle, radius=1e200)}, "config.circle.radius: too large"),
     ]
     for bad, key in cases:
         path = mcf_config(tmp_path, **bad)
         assert_rejected(["mcf-compare", str(path)], key, capsys)
+
+
+def test_uncreatable_output_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    bad = str(blocker / "out")
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.solver, "run", not_reached)
+    monkeypatch.setattr(cli.mcf, "acceleration_limit_test", not_reached)
+    for command, config in (("simulate", flat_config), ("mcf-compare", mcf_config)):
+        assert_rejected([command, str(config(tmp_path, output_dir=bad))], "config.output_dir", capsys)
+        # the flag overrides a usable config.output_dir and is the one named
+        assert_rejected(["--output-dir", bad, command, str(config(tmp_path))], "--output-dir", capsys)
 
 
 def test_mcf_compare_uses_config_m(tmp_path, monkeypatch):

@@ -123,6 +123,14 @@ def test_shrinking_circle_matches_exact_radius():
     assert np.max(np.abs(radii - exact) / exact) < 0.01
 
 
+def test_shrinking_small_circle_steps_by_arclength_spacing():
+    # the explicit step is stable up to a multiple of (radius * du)^2, so at
+    # radius 0.2 a step of 0.1 du^2 is unstable and 0.1 (radius * du)^2 is not
+    thetas, radii = shrinking_circle_radii(256, 0.2, 0.016)
+    exact = np.sqrt(0.2**2 - 2.0 * thetas)
+    assert np.max(np.abs(radii - exact) / exact) <= 1e-2
+
+
 def test_circle_radius_rate():
     E = circle_embedding(256, 2.0)
     dtheta = 1e-4
@@ -196,9 +204,9 @@ def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
     real = mcf.mcf_velocity
     calls = []
 
-    def nan_on_third_call(E, order=2):
+    def nan_on_third_call(E):
         calls.append(1)
-        vel = real(E, order)
+        vel = real(E)
         return vel * math.nan if len(calls) == 3 else vel
 
     monkeypatch.setattr(mcf, "mcf_velocity", nan_on_third_call)
@@ -212,7 +220,7 @@ def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
 def test_acceleration_blowup_reports_substep_time(monkeypatch):
     # dt is well below the CFL step, so it is split into 2 substeps of dt / 2
     real = solver.rhs_augmented
-    monkeypatch.setattr(solver, "rhs_augmented", lambda fld, order=2: real(fld, order) * math.nan)
+    monkeypatch.setattr(solver, "rhs_augmented", lambda fld: real(fld) * math.nan)
     g = Grid((64,), (TWO_PI,))
     with pytest.raises(solver.BlowUpError) as info:
         acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 1e-3)
