@@ -482,6 +482,14 @@ def measured_order(errors, steps) -> float | None:
     return float(coef[0])
 
 
+def _sampled_rows(count: int) -> list[int]:
+    """Every (count // 32)-th row index from 0, and the last one, which ends the flow."""
+    rows = list(range(0, count, max(1, count // 32)))
+    if rows[-1] != count - 1:
+        rows.append(count - 1)
+    return rows
+
+
 def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_mcf_config(load_json(config_path))
     grid = cfg["grid"]
@@ -510,16 +518,16 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
         thetas, radii = mcf.shrinking_circle_radii(c["points"], c["radius"], c["theta_end"], c["step_factor"])
         Ec = mcf.circle_embedding(c["points"], c["radius"])
         tanc = mcf.tangency_residual(Ec)
-        for t, rr in zip(thetas[:: max(1, len(thetas) // 32)], radii[:: max(1, len(thetas) // 32)]):
-            lines.append(",".join([solver._fmt(t), "", solver._fmt(tanc), solver._fmt(rr)]))
+        for k in _sampled_rows(len(thetas)):
+            lines.append(",".join([solver._fmt(thetas[k]), "", solver._fmt(tanc), solver._fmt(radii[k])]))
 
     if cfg["graph_flow"] is not None:
         gcfg = cfg["graph_flow"]
         thetas, amps = mcf.graph_amplitude_decay(
             grid, cfg["m"], cfg["x_modes"], gcfg["theta_end"], gcfg["step_factor"]
         )
-        for t, a in zip(thetas[:: max(1, len(thetas) // 32)], amps[:: max(1, len(thetas) // 32)]):
-            lines.append(",".join([solver._fmt(t), "", solver._fmt(tan0), solver._fmt(a)]))
+        for k in _sampled_rows(len(thetas)):
+            lines.append(",".join([solver._fmt(thetas[k]), "", solver._fmt(tan0), solver._fmt(amps[k])]))
 
     (out_dir / "mcf_compare.csv").write_text("\n".join(lines) + "\n")
     print(f"comparison written to {out_dir / 'mcf_compare.csv'}")

@@ -422,6 +422,55 @@ def test_mcf_compare_flat_graph_without_modes(tmp_path, capsys):
     assert [float(x) for x in lines[0].split(",")[1:]] == [0.0, 0.0, 0.0]
 
 
+def _csv_blocks(path):
+    """The acceleration rows, then one list of (theta, value) per reference flow."""
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+    blocks = []
+    for theta, accel, _, value in rows:
+        if accel == "":
+            if float(theta) == 0.0:
+                blocks.append([])
+            blocks[-1].append((float(theta), float(value)))
+    return blocks
+
+
+def test_sampled_rows_keep_the_stride_and_the_last_row():
+    assert cli._sampled_rows(5) == [0, 1, 2, 3, 4]
+    assert cli._sampled_rows(69) == list(range(0, 69, 2))
+    assert cli._sampled_rows(70) == list(range(0, 70, 2)) + [69]
+    assert cli._sampled_rows(409) == list(range(0, 409, 12))
+
+
+def test_mcf_compare_writes_each_flow_final_row(tmp_path):
+    # 64 points: 69 equal steps (70 rows) in both flows, so the stride of 2
+    # misses the last row and it is appended
+    path = mcf_config(
+        tmp_path,
+        dt_values=[0.004],
+        circle={"radius": 1.0, "points": 64, "theta_end": 0.335, "step_factor": 0.05},
+        graph_flow={"theta_end": 0.67},
+    )
+    assert main(["mcf-compare", str(path)]) == 0
+    circle, graph = _csv_blocks(tmp_path / "out" / "mcf_compare.csv")
+    for block, theta_end in ((circle, 0.335), (graph, 0.67)):
+        assert len(block) == 36
+        assert block[-1][0] == theta_end
+        assert block[-2][0] == pytest.approx(68 * theta_end / 69, rel=1e-12)
+
+
+def test_mcf_compare_huge_circle_ends_on_theta_end(tmp_path):
+    # one step of at most step_factor * radius^2 * du covers theta_end, so the
+    # only row after theta = 0 is theta_end itself (it was 6.0e295); with
+    # step_factor 1e308 the step bound overflows to inf and is still one step
+    for step_factor in (0.1, 1e308):
+        circle = {"radius": 1e150, "points": 64, "theta_end": 0.25, "step_factor": step_factor}
+        path = mcf_config(tmp_path, dt_values=[0.004], circle=circle)
+        assert main(["mcf-compare", str(path)]) == 0
+        (rows,) = _csv_blocks(tmp_path / "out" / "mcf_compare.csv")
+        assert [theta for theta, _ in rows] == [0.0, 0.25]
+        assert rows[-1][1] == pytest.approx(1e150, rel=1e-12)
+
+
 def test_bundled_configs_parse():
     for name in ("string_n1.json", "membrane_n2.json", "flat_n1.json"):
         parse_run_config(json.loads((CONFIG_DIR / name).read_text()))

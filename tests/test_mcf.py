@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from branesim.mcf import (
 from branesim.solver import Grid, Mode, fourier_series
 
 TWO_PI = 2 * np.pi
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def sine_graph(N, eps=0.1):
@@ -201,16 +206,19 @@ def test_acceleration_rejects_bad_dt():
 
 
 def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
+    # each step evaluates the velocity twice, so the 5th call is the first
+    # stage of step 3; the march takes equal steps that end on theta_end
     real = mcf.mcf_velocity
     calls = []
 
-    def nan_on_third_call(E):
+    def nan_on_fifth_call(E):
         calls.append(1)
         vel = real(E)
-        return vel * math.nan if len(calls) == 3 else vel
+        return vel * math.nan if len(calls) == 5 else vel
 
-    monkeypatch.setattr(mcf, "mcf_velocity", nan_on_third_call)
-    dtheta = 0.1 * min(circle_embedding(64, 1.0).grid.spacing) ** 2
+    monkeypatch.setattr(mcf, "mcf_velocity", nan_on_fifth_call)
+    du = circle_embedding(64, 1.0).grid.spacing[0]
+    dtheta = 0.25 / math.ceil(0.25 / (0.1 * du))
     with pytest.raises(solver.BlowUpError) as info:
         shrinking_circle_radii(64, 1.0, 0.25)
     assert info.value.t == 3 * dtheta
@@ -225,3 +233,82 @@ def test_acceleration_blowup_reports_substep_time(monkeypatch):
     with pytest.raises(solver.BlowUpError) as info:
         acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 1e-3)
     assert info.value.t == 1e-3 / 2
+
+
+# ---------------------------------------------------------------------------
+# the IMEX step
+
+
+def _flow(E, theta, steps):
+    for _ in range(steps):
+        E = mcf_step(E, theta / steps)
+    return E.X
+
+
+@pytest.mark.parametrize("E", [sine_graph(64, 0.3)[1], circle_embedding(64, 1.0)], ids=["graph", "circle"])
+def test_step_is_second_order_in_dtheta(E):
+    # the spatial discretisation is shared, so the error against a fine-step
+    # run is the time-stepping error alone
+    ref = _flow(E, 0.2, 1280)
+    e20 = np.max(np.abs(_flow(E, 0.2, 20) - ref))
+    e40 = np.max(np.abs(_flow(E, 0.2, 40) - ref))
+    assert e20 / e40 == pytest.approx(4.0, rel=0.15)
+
+
+def test_flows_end_on_theta_end():
+    g = Grid((64,), (TWO_PI,))
+    for theta_end in (0.1, 0.25, 0.3, 1e-7):
+        for thetas, _ in (
+            shrinking_circle_radii(64, 1.0, theta_end),
+            graph_amplitude_decay(g, 1, [Mode(1, (1,), 0.1, 0.0)], theta_end),
+        ):
+            assert thetas[-1] == theta_end
+            assert np.all(np.diff(thetas) > 0)
+            assert np.allclose(np.diff(thetas), thetas[1])
+
+
+def test_circle_error_is_scale_invariant():
+    # X -> s X with theta -> s^2 theta maps one flow onto the other step for step
+    errs = []
+    for radius, theta_end in ((0.2, 0.016), (1.0, 0.4)):
+        thetas, radii = shrinking_circle_radii(256, radius, theta_end)
+        exact = np.sqrt(radius**2 - 2.0 * thetas)
+        errs.append(float(np.max(np.abs(radii - exact) / exact)))
+    assert errs[0] == pytest.approx(errs[1], rel=1e-9)
+    assert max(errs) <= 1.2e-4
+
+
+def test_graph_n2_agrees_with_explicit_steps():
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    modes = [Mode(1, (1, 0), 0.1, 0.0), Mode(1, (0, 1), 0.1, 0.5), Mode(1, (1, 1), 0.05, 1.0)]
+    u, _ = fourier_series(modes, g, 1)
+    E = EmbeddingField.from_graph(g, u)
+    theta = 0.1
+    thetas, amps = graph_amplitude_decay(g, 1, modes, theta)
+    imex = _flow(E, theta, len(thetas) - 1)
+    steps = math.ceil(theta / (0.01 * min(g.spacing) ** 2))
+    X = E
+    for _ in range(steps):
+        X = EmbeddingField(g, X.X + theta / steps * mcf_velocity(X), X.linear)
+    assert np.max(np.abs(imex - X.X)) < 2e-5
+    assert amps[-1] == float(np.max(np.abs(imex[2:])))
+
+
+def test_large_step_factor_stays_finite_and_bounded():
+    thetas, radii = shrinking_circle_radii(256, 1.0, 0.45, 10.0)
+    assert np.all(np.isfinite(radii)) and np.all(np.diff(radii) < 0) and radii[-1] > 0
+    for g, m, modes in (
+        (Grid((512,), (TWO_PI,)), 1, [Mode(1, (1,), 0.1, 0.0), Mode(1, (5,), 0.05, 0.0)]),
+        (Grid((32, 32), (TWO_PI, TWO_PI)), 2, [Mode(1, (1, 0), 0.5, 0.0), Mode(2, (3, 2), 0.3, 0.5)]),
+    ):
+        thetas, amps = graph_amplitude_decay(g, m, modes, 0.5, 10.0)
+        assert len(thetas) >= 2 and np.all(np.isfinite(amps)) and np.all(amps[1:] <= amps[0])
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy.fft is imported lazily; only mcf_step touches it, so importing
+    # the package stays as cheap as importing numpy
+    code = "import sys, branesim; assert 'numpy.fft' not in sys.modules, 'numpy.fft was imported'"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
