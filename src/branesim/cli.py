@@ -13,6 +13,7 @@ import math
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -325,6 +326,15 @@ def cmd_verify(shapes=DEFAULT_VERIFY_SHAPES, samples: int = 200, seed: int = 0) 
 # simulate
 
 
+@contextmanager
+def _naming(keys: str):
+    """Prefix a ConfigError with the config keys that size a march (solver.plan_steps bounds its step count)."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _output_dir(flag: str | None, configured: str) -> Path:
     """The --output-dir flag, else config.output_dir; created before the run, so a bad path exits 2 early."""
     out_dir = Path(flag or configured)
@@ -347,30 +357,23 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     fld, oracle, _ = solver.initial_fields(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
     out_dir = _output_dir(output_dir, cfg.output_dir)
     try:
-        result = solver.run(
-            fld,
-            t_end=cfg.t_end,
-            cfl=cfg.cfl,
-            output_cadence=cfg.output_cadence,
-            oracle=oracle if cfg.oracle_compare else None,
-            snapshot_cadence=cfg.snapshot_cadence,
-        )
+        with _naming("config.scheme.cfl, config.t_end"):
+            result = solver.run(
+                fld,
+                t_end=cfg.t_end,
+                cfl=cfg.cfl,
+                output_cadence=cfg.output_cadence,
+                oracle=oracle if cfg.oracle_compare else None,
+                snapshot_cadence=cfg.snapshot_cadence,
+            )
     except solver.BlowUpError as exc:
         _write_run(out_dir, exc.rows, exc.snapshots)
         print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}", file=sys.stderr)
         return 3
     _write_run(out_dir, result.rows, result.snapshots)
     last = result.rows[-1]
-    print(
-        "final t={} lambda_Linf={} omega_Linf={} phi_Linf={} psi_Linf={} sigma_Linf={}".format(
-            solver._fmt(last.t),
-            solver._fmt(last.lambda_Linf),
-            solver._fmt(last.omega_Linf),
-            solver._fmt(last.phi_Linf),
-            solver._fmt(last.psi_Linf),
-            solver._fmt(last.sigma_Linf),
-        )
-    )
+    names = ("t", "lambda_Linf", "omega_Linf", "phi_Linf", "psi_Linf", "sigma_Linf")
+    print("final " + " ".join(f"{name}={solver._fmt(getattr(last, name))}" for name in names))
     return 0
 
 
@@ -443,6 +446,8 @@ def parse_mcf_config(data: dict) -> dict:
     if not isinstance(dts, list) or not dts:
         raise ConfigError("config.dt_values: expected a non-empty list")
     cfg["dt_values"] = [_positive(x, "config.dt_values") for x in dts]
+    if any(dt * dt < sys.float_info.min for dt in cfg["dt_values"]):
+        raise ConfigError("config.dt_values: too small; the acceleration divides by dt^2, which underflows")
     if len(set(cfg["dt_values"])) != len(dts):
         raise ConfigError("config.dt_values: entries must be distinct; the order in dt is fitted across them")
     cfg["circle"] = cfg["graph_flow"] = None
@@ -503,7 +508,8 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
 
     errors = []
     for dt in cfg["dt_values"]:
-        err = mcf.acceleration_limit_test(grid, cfg["m"], cfg["x_modes"], dt, cfl=cfg["cfl"])
+        with _naming("config.dt_values, config.scheme.cfl"):
+            err = mcf.acceleration_limit_test(grid, cfg["m"], cfg["x_modes"], dt, cfl=cfg["cfl"])
         errors.append(err)
         lines.append(",".join([solver._fmt(dt), solver._fmt(err), solver._fmt(tan0), solver._fmt(amp0)]))
 
@@ -515,17 +521,16 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
 
     if cfg["circle"] is not None:
         c = cfg["circle"]
-        thetas, radii = mcf.shrinking_circle_radii(c["points"], c["radius"], c["theta_end"], c["step_factor"])
-        Ec = mcf.circle_embedding(c["points"], c["radius"])
-        tanc = mcf.tangency_residual(Ec)
+        with _naming("config.circle.step_factor, config.circle.theta_end"):
+            thetas, radii = mcf.shrinking_circle_radii(c["points"], c["radius"], c["theta_end"], c["step_factor"])
+        tanc = mcf.tangency_residual(mcf.circle_embedding(c["points"], c["radius"]))
         for k in _sampled_rows(len(thetas)):
             lines.append(",".join([solver._fmt(thetas[k]), "", solver._fmt(tanc), solver._fmt(radii[k])]))
 
     if cfg["graph_flow"] is not None:
-        gcfg = cfg["graph_flow"]
-        thetas, amps = mcf.graph_amplitude_decay(
-            grid, cfg["m"], cfg["x_modes"], gcfg["theta_end"], gcfg["step_factor"]
-        )
+        gf = cfg["graph_flow"]
+        with _naming("config.graph_flow.step_factor, config.graph_flow.theta_end"):
+            thetas, amps = mcf.graph_amplitude_decay(grid, cfg["m"], cfg["x_modes"], gf["theta_end"], gf["step_factor"])
         for k in _sampled_rows(len(thetas)):
             lines.append(",".join([solver._fmt(thetas[k]), "", solver._fmt(tan0), solver._fmt(amps[k])]))
 

@@ -10,14 +10,15 @@ The raw mean-curvature velocity moves points tangentially as well as
 normally; only after removing the tangential reparametrization do the two
 motions coincide, so the comparison subtracts it explicitly.
 
-The reference flows (a shrinking circle and a decaying graph) march with
+The reference flows (a shrinking circle and a decaying graph) take
 ``mcf_step``, a stabilised IMEX midpoint step that is second order in theta
-and whose size scales with the grid spacing rather than its square.
+and whose size scales with the grid spacing rather than its square, in the
+equal steps of ``solver.march``, the time loop of ``simulate`` and of the
+acceleration substeps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,35 +209,22 @@ def _height_velocity(fld: GridField) -> np.ndarray:
 def acceleration_limit_test(grid: Grid, m: int, x_modes, dt: float, *, cfl: float = 0.4) -> float:
     """Linf error between the discrete initial acceleration and the MCF velocity.
 
-    Starts the augmented evolution from velocity-free graph data (m heights
-    built from ``x_modes``), carries the heights alongside the state, and forms a_disc = 2 (X(dt) - X(0)) / dt^2;
-    with V = 0 the trajectory is even in t, so the error is O(dt^2) plus the
-    stencil contribution.
+    Evolves velocity-free graph data (m heights built from ``x_modes``) and the
+    heights in at least two substeps within the CFL bound, and forms a_disc =
+    2 (X(dt) - X(0)) / dt^2; with V = 0 the trajectory is even in t, so the
+    error is O(dt^2) plus the stencil contribution.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     fld, (F0, D0), u0 = initial_fields(grid, m, x_modes, [])
     if float(np.max(np.abs(D0))) != 0.0:
         raise ConfigError("acceleration limit requires velocity-free initial data")
-    lay = fld.layout
-    dim = lay.state_dim
-
-    substeps = max(2, math.ceil(dt / _solver.cfl_dt(fld, cfl)))
-    dts = dt / substeps
+    dim = fld.layout.state_dim
 
     def rhs(y):
-        wfld = GridField(grid, lay, y[:dim])
-        out = np.empty_like(y)
-        out[:dim] = _solver.rhs_augmented(wfld)
-        out[dim:] = _height_velocity(wfld)
-        return out
+        wfld = GridField(grid, fld.layout, y[:dim])
+        return np.concatenate([_solver.rhs_augmented(wfld), _height_velocity(wfld)])
 
-    y = np.concatenate([fld.values, u0], axis=0)
-    for k in range(1, substeps + 1):
-        try:
-            y = _solver.rk4_step(y, dts, rhs)
-        except BlowUpError:
-            raise BlowUpError(k * dts) from None
+    y0 = np.concatenate([fld.values, u0], axis=0)
+    y = _solver.march(y0, dt, _solver.cfl_dt(fld, cfl), lambda y, h: _solver.rk4_step(y, h, rhs), min_steps=2)
 
     a_disc = 2.0 * (y[dim:] - u0) / dt**2
     w_g = graph_gauge_velocity(grid, F0)
@@ -258,43 +246,27 @@ def mean_radius(E: EmbeddingField) -> float:
     return float(np.mean(np.sqrt(np.sum(E.X**2, axis=0))))
 
 
-def _march(E: EmbeddingField, theta_end: float, dtheta_max: float, measure):
-    """MCF march in equal steps of at most dtheta_max that end on theta_end.
-
-    Returns (thetas, measure(E) at each theta), both including theta = 0.
-    """
-    steps = max(1, math.ceil(theta_end / dtheta_max))  # dtheta_max may overflow to inf
-    dtheta = theta_end / steps
-    thetas = [0.0]
-    values = [measure(E)]
-    for k in range(1, steps + 1):
-        theta = theta_end if k == steps else k * dtheta
-        try:
-            E = mcf_step(E, dtheta)
-        except BlowUpError:
-            raise BlowUpError(theta) from None
-        thetas.append(theta)
-        values.append(measure(E))
-    return np.array(thetas), np.array(values)
-
-
 def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_factor: float = 0.1):
-    """March a circle under MCF; returns (thetas, radii) including theta = 0.
+    """Flow a circle under MCF to theta_end; returns (thetas, radii) from theta = 0 on.
 
-    The step is at most step_factor * ds * radius, with the arclength spacing
-    ds = radius * du and radius the period over 2 pi, so it scales as radius^2.
+    The steps are at most step_factor * ds * radius, with the arclength spacing
+    ds = radius * du and radius the period over 2 pi, so they scale as radius^2.
     """
     E = circle_embedding(points, radius)
-    ds = radius * E.grid.spacing[0]
-    return _march(E, theta_end, step_factor * ds * radius, mean_radius)
+    dtheta_max = step_factor * (radius * E.grid.spacing[0]) * radius
+    rows = []
+    _solver.march(E, theta_end, dtheta_max, mcf_step, after=lambda k, t, E: rows.append((t, mean_radius(E))))
+    return tuple(np.array(rows).T)
 
 
 def graph_amplitude_decay(grid: Grid, m: int, x_modes, theta_end: float, step_factor: float = 0.1):
-    """March the graph of m heights under MCF; returns (thetas, max |heights|).
+    """Flow the graph of m heights under MCF to theta_end; returns (thetas, max |heights|).
 
-    The step is at most step_factor * min_j dx_j L_j / (2 pi), the rule of the circle.
+    The steps are at most step_factor * min_j dx_j L_j / (2 pi), the rule of the circle.
     """
     u, _ = fourier_series(x_modes, grid, m)
     E = EmbeddingField.from_graph(grid, u)
     dtheta_max = step_factor * min(dx * length / (2 * np.pi) for dx, length in zip(grid.spacing, grid.lengths))
-    return _march(E, theta_end, dtheta_max, lambda E: float(np.max(np.abs(E.X[grid.n :]))))
+    rows = []
+    _solver.march(E, theta_end, dtheta_max, mcf_step, after=lambda k, t, E: rows.append((t, np.max(np.abs(E.X[-m:])))))
+    return tuple(np.array(rows).T)

@@ -119,13 +119,6 @@ class GridField:
         return GridField(self.grid, self.layout, self.values.copy())
 
 
-def time_flip(values: np.ndarray, layout: MinorLayout) -> np.ndarray:
-    """d -> -d, v -> -v; composing with t -> -t maps solutions to solutions."""
-    out = values.copy()
-    out[1 : 1 + layout.m + layout.n] *= -1.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stencils
 
@@ -411,13 +404,46 @@ def diagnostics(fld: GridField, t: float, oracle=None) -> DiagnosticsRow:
 # ---------------------------------------------------------------------------
 # the time loop
 
+MAX_STEPS = 10**6  # the most steps one march takes; only runaway input needs more
+
+
+def plan_steps(t_end: float, dt_max: float, min_steps: int = 1) -> tuple[int, float]:
+    """(steps, dt): the fewest equal steps, at least min_steps, of at most dt_max to t_end.
+
+    ConfigError if t_end or dt_max (which may have underflowed) is not positive, or past MAX_STEPS steps.
+    """
+    if not (0 < t_end < math.inf and dt_max > 0):
+        raise ConfigError(f"end time {t_end!r} and step bound {dt_max!r} must be positive and the end time finite")
+    if not t_end / dt_max <= MAX_STEPS:
+        raise ConfigError(f"reaching {t_end!r} in steps of at most {dt_max!r} takes more than {MAX_STEPS} steps")
+    steps = max(min_steps, math.ceil(t_end / dt_max))  # a dt_max of inf gives min_steps
+    return steps, t_end / steps
+
+
+def march(state, t_end: float, dt_max: float, step, *, min_steps: int = 1, after=lambda k, t, state: None):
+    """state = step(state, dt) over the steps of plan_steps; returns the final state.
+
+    after(k, t, state) sees the start (k = 0) and step k at t = k dt, the last at t_end itself.  Steps run
+    with numpy's warnings off: step raises BlowUpError on non-finite output, re-raised with the step's t.
+    """
+    steps, dt = plan_steps(t_end, dt_max, min_steps)
+    after(0, 0.0, state)
+    for k in range(1, steps + 1):
+        t = t_end if k == steps else k * dt
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                state = step(state, dt)
+        except BlowUpError:
+            raise BlowUpError(t) from None
+        after(k, t, state)
+    return state
+
 
 @dataclass
 class RunResult:
     rows: list
     snapshots: list
     field: GridField
-    oracle: tuple | None
     dt: float
     steps: int
 
@@ -440,6 +466,17 @@ def _snapshot(fld: GridField, t: float) -> dict:
     }
 
 
+def _packed(F: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The oracle (F, D) as one array [F as (m n, *sizes); D], so rk4_step applies unchanged."""
+    return np.concatenate([F.reshape(-1, *F.shape[2:]), D])
+
+
+def _unpacked(y: np.ndarray, n: int):
+    """The (F, D) views of a _packed array on an n-d grid."""
+    m = len(y) // (n + 1)
+    return y[: m * n].reshape(m, n, *y.shape[1:]), y[m * n :]
+
+
 def run(
     fld: GridField,
     *,
@@ -451,52 +488,40 @@ def run(
 ) -> RunResult:
     """Evolve the augmented field (and optionally the oracle) to t_end.
 
-    The step is fixed from the CFL bound at t = 0 and rounded so the run
-    lands exactly on t_end.  Diagnostics rows are emitted at t = 0, every
-    output cadence, and at the end; a blow-up aborts with partial rows
-    attached to the raised error.
+    ``march`` takes equal steps, bounded by the CFL bound at t = 0, that land
+    exactly on t_end.  Diagnostics rows are emitted at t = 0, every output
+    cadence, and at the end; a blow-up aborts with partial rows attached to
+    the raised error.
     """
-    if t_end <= 0 or not math.isfinite(t_end):
-        raise ConfigError("t_end must be positive and finite")
     fld = fld.copy()
-    dt0 = cfl_dt(fld, cfl)
-    steps = max(1, math.ceil(t_end / dt0 - 1e-12))
-    dt = t_end / steps
+    dt_max = cfl_dt(fld, cfl)
+    steps, dt = plan_steps(t_end, dt_max)
     # a cadence beyond t_end means "at the end only"; capping it keeps cadence / dt finite
     out_every = steps if output_cadence <= 0 else max(1, round(min(output_cadence, t_end) / dt))
     snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
+    rows, snapshots = [], []
+    rhs = (
+        lambda W: rhs_augmented(GridField(fld.grid, fld.layout, W)),
+        lambda y: _packed(*rhs_original(*_unpacked(y, fld.grid.n), fld.grid)),
+    )
 
-    ora = None if oracle is None else (oracle[0].copy(), oracle[1].copy())
-    rows = [diagnostics(fld, 0.0, ora)]
-    snapshots = [] if snap_every is None else [(0.0, _snapshot(fld, 0.0))]
+    def step(state, dt):
+        # the field, then the oracle when there is one
+        return tuple(rk4_step(y, dt, f) for y, f in zip(state, rhs))
 
-    def rhs_w(values):
-        return rhs_augmented(GridField(fld.grid, fld.layout, values))
-
-    t = 0.0
-    for k in range(1, steps + 1):
-        try:
-            fld.values = rk4_step(fld.values, dt, rhs_w)
-            if ora is not None:
-                Fo, Do = ora
-                m, nd = Fo.shape[0], Fo.shape[1]
-                # pack (F, D) into one array so rk4_step applies unchanged
-                y0 = np.concatenate([Fo.reshape(m * nd, -1), Do.reshape(m, -1)], axis=0)
-
-                def rhs_pack(y):
-                    dF, dD = rhs_original(y[: m * nd].reshape(Fo.shape), y[m * nd :].reshape(Do.shape), fld.grid)
-                    return np.concatenate([dF.reshape(m * nd, -1), dD.reshape(m, -1)], axis=0)
-
-                y1 = rk4_step(y0, dt, rhs_pack)
-                ora = (y1[: m * nd].reshape(Fo.shape), y1[m * nd :].reshape(Do.shape))
-        except BlowUpError:
-            raise BlowUpError(t + dt, rows, snapshots) from None
-        t = k * dt
+    def after(k, t, state):
+        fld.values = state[0]
         if k % out_every == 0 or k == steps:
-            rows.append(diagnostics(fld, t, ora))
+            rows.append(diagnostics(fld, t, _unpacked(state[1], fld.grid.n) if len(state) > 1 else None))
         if snap_every is not None and (k % snap_every == 0 or k == steps):
             snapshots.append((t, _snapshot(fld, t)))
-    return RunResult(rows, snapshots, fld, ora, dt, steps)
+
+    try:
+        march((fld.values,) + (() if oracle is None else (_packed(*oracle),)), t_end, dt_max, step, after=after)
+    except BlowUpError as exc:
+        exc.rows, exc.snapshots = rows, snapshots
+        raise
+    return RunResult(rows, snapshots, fld, dt, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,6 @@ class ConstraintResiduals:
     def psi_linf(self) -> float:
         return self._linf(self.psi.values())
 
-    def max_abs(self) -> float:
-        return max(self.lam_linf(), self.omega_linf(), self.phi_linf(), self.psi_linf())
-
 
 # ---------------------------------------------------------------------------
 # lifting and reconstruction

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,13 +149,55 @@ def test_simulate_validation_messages(tmp_path, capsys):
             {"toggles": {"mcf_compare": True}},
             "config.toggles.mcf_compare: simulate does not run the MCF comparison; use the mcf-compare command",
         ),
+        # the step bound underflows to 0, or the run needs more than MAX_STEPS steps
+        ({"scheme": {"cfl": 5e-324}}, "config.scheme.cfl, config.t_end: end time 0.2 and step bound 0.0 must be positive"),
+        ({"scheme": {"cfl": 1e-300}}, "config.scheme.cfl, config.t_end: reaching 0.2 in steps"),
+        ({"t_end": 1e300}, "config.scheme.cfl, config.t_end: reaching 1e+300 in steps"),
     ]
     for bad, key in cases:
         path = flat_config(tmp_path, **bad)
         assert_rejected(["simulate", str(path)], key, capsys)
+    # the same on a moving string, the input whose runs never ended
+    string = json.loads((CONFIG_DIR / "string_n1.json").read_text())
+    for bad in ({"scheme": {"cfl": 5e-324}}, {"scheme": {"cfl": 1e-300}}, {"t_end": 1e300}):
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(dict(string, output_dir=str(tmp_path / "out"), **bad)))
+        assert_rejected(["simulate", str(path)], "config.scheme.cfl, config.t_end", capsys)
     # the keys stay accepted at the values existing configs send
     for scheme in ({"filter_strength": 0}, {"filter_strength": 0.0}, {"stencil_order": 2}, {"stencil_order": 2.0}, {}):
         parse_run_config(json.loads(flat_config(tmp_path, scheme=scheme).read_text()))
+
+
+def test_simulate_blowup_is_reported_once_at_the_failing_step(tmp_path, capsys, monkeypatch):
+    # a large fast wave: the run leaves the scheme's range and blows up near t = 0.196
+    cfg = json.loads((CONFIG_DIR / "string_n1.json").read_text())
+    cfg["initial_data"]["X_modes"][0].update(amplitude=3.0, wave=[3])
+    cfg["initial_data"]["V_modes"][0].update(amplitude=0.9, wave=[3])
+    cfg.update(t_end=5.0, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(cfg))
+    real = solver.run
+    raised = []
+
+    def spy(fld, **kwargs):
+        try:
+            return real(fld, **kwargs)
+        except solver.BlowUpError as exc:
+            raised.append((exc.t, solver.cfl_dt(fld, kwargs["cfl"])))
+            raise
+
+    monkeypatch.setattr(solver, "run", spy)
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 3
+    # numpy's floating-point warnings stay quiet; the blow-up line is all of stderr
+    assert capsys.readouterr().err == f"blow-up at t=0.196078; partial diagnostics written to {tmp_path / 'out'}\n"
+    # the time is k * dt of the failing step, one step past the last row written
+    (t, dt_max), = raised
+    dt = 5.0 / math.ceil(5.0 / dt_max)
+    k = round(t / dt)
+    assert t == k * dt
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().split("\n")[1:]
+    assert float(rows[-1].split(",")[0]) < t
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):
@@ -375,9 +418,32 @@ def test_mcf_compare_validation_messages(tmp_path, capsys):
         ({"circle": dict(circle, radius=0.2, theta_end=0.03)}, "config.circle.theta_end"),
         # the arclength step (radius * du)^2 and the mean radius overflow with radius^2
         ({"circle": dict(circle, radius=1e200)}, "config.circle.radius: too large"),
+        # the acceleration divides by dt^2, which must not underflow
+        ({"dt_values": [1e-300, 1e-3]}, "config.dt_values: too small"),
+        ({"dt_values": [5e-324]}, "config.dt_values: too small"),
+        # step bounds that underflow to 0, and step counts above MAX_STEPS
+        ({"dt_values": [1e300, 1e-3]}, "config.dt_values, config.scheme.cfl: reaching 1e+300 in steps"),
+        ({"scheme": {"cfl": 1e-300}}, "config.dt_values, config.scheme.cfl: reaching 0.004 in steps"),
+        ({"circle": dict(circle, step_factor=5e-324)}, "config.circle.step_factor, config.circle.theta_end: end time"),
+        ({"circle": dict(circle, step_factor=1e-12)}, "config.circle.step_factor, config.circle.theta_end: reaching"),
+        ({"graph_flow": {"theta_end": 0.01, "step_factor": 5e-324}}, "config.graph_flow.step_factor"),
+        ({"graph_flow": {"theta_end": 0.01, "step_factor": 1e-12}}, "config.graph_flow.step_factor"),
     ]
     for bad, key in cases:
         path = mcf_config(tmp_path, **bad)
+        assert_rejected(["mcf-compare", str(path)], key, capsys)
+    # the same on the bundled config, whose graph flow would take about 4e13 steps at step_factor 1e-12
+    bundled = json.loads((CONFIG_DIR / "mcf_sine.json").read_text())
+    cases = [
+        ({"dt_values": [1e-300, 1e-3]}, "config.dt_values"),
+        ({"dt_values": [1e300, 1e-3]}, "config.dt_values"),
+        ({"graph_flow": dict(bundled["graph_flow"], step_factor=5e-324)}, "config.graph_flow.step_factor"),
+        ({"graph_flow": dict(bundled["graph_flow"], step_factor=1e-12)}, "config.graph_flow.step_factor"),
+        ({"circle": dict(bundled["circle"], step_factor=5e-324)}, "config.circle.step_factor"),
+    ]
+    for bad, key in cases:
+        path = tmp_path / "bundled.json"
+        path.write_text(json.dumps(dict(bundled, output_dir=str(tmp_path / "out"), **bad)))
         assert_rejected(["mcf-compare", str(path)], key, capsys)
 
 

@@ -20,11 +20,19 @@ from branesim.solver import (
     rhs_original,
     rk4_step,
     run,
+    march,
+    plan_steps,
     sigma_residual,
-    time_flip,
 )
 
 TWO_PI = 2 * np.pi
+
+
+def time_flip(values, layout):
+    """d -> -d, v -> -v; composing with t -> -t maps solutions to solutions."""
+    out = values.copy()
+    out[1 : 1 + layout.m + layout.n] *= -1.0
+    return out
 
 
 def scalar_field(grid, arrays):
@@ -159,6 +167,50 @@ def test_rk4_is_linear_for_linear_rhs():
     assert np.max(np.abs(lhs - rhs)) < 1e-15
 
 
+def test_march_steps_evenly_and_ends_on_t_end():
+    seen = []
+    out = march(0.0, 1.0, 0.3, lambda y, dt: y + dt, after=lambda k, t, y: seen.append((k, t, y)))
+    # after sees the start, then each of the ceil(1 / 0.3) = 4 equal steps
+    assert seen == [(0, 0.0, 0.0), (1, 0.25, 0.25), (2, 0.5, 0.5), (3, 0.75, 0.75), (4, 1.0, 1.0)]
+    assert out == 1.0
+    # min_steps wins over a bound that allows fewer steps, also an infinite one
+    for dt_max in (0.3, math.inf):
+        seen.clear()
+        march(0.0, 1.0, dt_max, lambda y, dt: y + dt, min_steps=5, after=lambda k, t, y: seen.append(t))
+        assert len(seen) == 6 and seen[-1] == 1.0
+    # the last time is t_end itself, where k * dt rounds away from it
+    t_end = 0.9
+    steps, dt = plan_steps(t_end, 0.3)
+    assert steps * dt != t_end
+    seen.clear()
+    march(0.0, t_end, 0.3, lambda y, dt: y, after=lambda k, t, y: seen.append(t))
+    assert seen[:-1] == [k * dt for k in range(steps)] and seen[-1] == t_end
+
+
+@pytest.mark.parametrize(
+    "t_end, dt_max",
+    # a bound that underflowed to 0, more than MAX_STEPS steps, and end times that are not positive and finite
+    [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (1.0, 1e-7), (1e300, 1.0), (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0)],
+)
+def test_march_guard_raises_before_the_first_step(t_end, dt_max):
+    def step(y, dt):
+        raise AssertionError("stepped")
+
+    with pytest.raises(ConfigError):
+        march(0.0, t_end, dt_max, step)
+
+
+def test_march_reraises_blowup_with_the_time_of_the_failing_step():
+    def step(k, dt):
+        if k == 2:
+            raise BlowUpError(math.nan)
+        return k + 1
+
+    with pytest.raises(BlowUpError) as info:
+        march(0, 1.0, 0.3, step)
+    assert info.value.t == 0.75
+
+
 def test_rk4_blowup_detected():
     y = np.array([1e200])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +298,7 @@ def test_initial_data_is_on_manifold():
     g = Grid((64,), (TWO_PI,))
     fld, (F0, D0), u0 = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (1,), 0.05, 0.7)])
     res = constraint_residuals(fld.state_view())
-    assert res.max_abs() < 1e-14
+    assert max(res.lam_linf(), res.omega_linf(), res.phi_linf(), res.psi_linf()) < 1e-14
     assert np.max(np.abs(sigma_residual(fld).get((), 0.0))) == 0.0 if g.n == 1 else True
     assert u0.shape == (1, 64)
 
@@ -308,16 +360,20 @@ def test_run_time_reversal_returns_to_initial():
 
 def test_run_blowup_carries_partial_rows():
     # v v' overflows inside the first right-hand side; the error must carry
-    # the rows gathered so far
+    # the rows gathered so far.  A speed of 1e155 bounds the step near 5e-157,
+    # so t_end stays small enough for the step count to pass the MAX_STEPS guard.
     g = Grid((32,), (TWO_PI,))
     lay = enumerate_layout(1, 1)
     x = g.axes()[0]
     vals = np.stack([np.ones(32), np.zeros(32), 1e155 * (1.0 + 0.5 * np.sin(x)), np.zeros(32)])
     fld = GridField(g, lay, vals)
+    t_end = 1e-153
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as info:
-            run(fld, t_end=1.0, cfl=0.4, output_cadence=0.1)
+            run(fld, t_end=t_end, cfl=0.4, output_cadence=0.1)
     assert len(info.value.rows) >= 1
+    # the first step fails, so the time is that of step 1
+    assert info.value.t == t_end / math.ceil(t_end / cfl_dt(fld, 0.4))
 
 
 def test_oracle_equivalence_small_run():

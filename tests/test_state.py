@@ -20,6 +20,10 @@ from branesim.state import (
 )
 
 
+def max_residual(res):
+    return max(res.lam_linf(), res.omega_linf(), res.phi_linf(), res.psi_linf())
+
+
 def rand_rational_graph(rng, m, n):
     F = [[Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
     D = [Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
@@ -131,7 +135,7 @@ def test_residuals_flat_state():
     lay = enumerate_layout(2, 2)
     W = PrimitiveState(1.0, [0.0, 0.0], [0.0, 0.0], [0.0] * 5, lay)
     res = constraint_residuals(W)
-    assert res.max_abs() == 0.0
+    assert max_residual(res) == 0.0
 
 
 def test_residuals_velocity_only_state():
@@ -147,7 +151,7 @@ def test_residuals_vanish_on_lifted_floats():
         F = rng.uniform(-0.8, 0.8, (m, n))
         D = list(rng.uniform(-0.8, 0.8, m))
         res = constraint_residuals(to_primitive(lift(GraphData(F, D))))
-        assert res.max_abs() < 1e-14
+        assert max_residual(res) < 1e-14
 
 
 def test_two_h_S_equals_h_squared_exactly():
@@ -188,4 +192,4 @@ def test_residuals_work_on_grid_arrays():
     D = [0.2 * np.sin(x)]
     res = constraint_residuals(to_primitive(lift(GraphData(F, D), lay)))
     assert res.lam.shape == x.shape
-    assert res.max_abs() < 1e-14
+    assert max_residual(res) < 1e-14
