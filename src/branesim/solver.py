@@ -423,19 +423,20 @@ def plan_steps(t_end: float, dt_max: float, min_steps: int = 1) -> tuple[int, fl
 def march(state, t_end: float, dt_max: float, step, *, min_steps: int = 1, after=lambda k, t, state: None):
     """state = step(state, dt) over the steps of plan_steps; returns the final state.
 
-    after(k, t, state) sees the start (k = 0) and step k at t = k dt, the last at t_end itself.  Steps run
-    with numpy's warnings off: step raises BlowUpError on non-finite output, re-raised with the step's t.
+    after(k, t, state) sees the start (k = 0) and step k at t = k dt, the last at t_end itself.  Steps and
+    after calls run with numpy's warnings off: step raises BlowUpError on non-finite output, re-raised with
+    the step's t.
     """
     steps, dt = plan_steps(t_end, dt_max, min_steps)
-    after(0, 0.0, state)
-    for k in range(1, steps + 1):
-        t = t_end if k == steps else k * dt
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        after(0, 0.0, state)
+        for k in range(1, steps + 1):
+            t = t_end if k == steps else k * dt
+            try:
                 state = step(state, dt)
-        except BlowUpError:
-            raise BlowUpError(t) from None
-        after(k, t, state)
+            except BlowUpError:
+                raise BlowUpError(t) from None
+            after(k, t, state)
     return state
 
 

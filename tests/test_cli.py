@@ -1,15 +1,17 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from branesim import cli, solver
+from branesim import cli, minors, solver
 from branesim.cli import cmd_verify, main, parse_run_config
 from branesim.solver import ConfigError
 
@@ -75,8 +77,64 @@ def test_verify_failure_exits_nonzero(monkeypatch, capsys):
     assert main(["verify", "--samples", "1", "--shapes", "1x1"]) == 1
 
 
-def test_verify_rejects_bad_shape_token():
-    assert main(["verify", "--shapes", "2xx"]) == 2
+def test_verify_rejects_bad_shape_token(monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("verify ran")
+
+    # a 20x20 layout alone would enumerate C(40, 20) pairs, so cmd_verify must never see these
+    monkeypatch.setattr(cli, "cmd_verify", not_reached)
+    for token in ("2xx", "1x\u00b2", "0x2", "2x0", "7x1", "1x7", "20x20", "1x1,6x7"):
+        assert_rejected(["verify", "--shapes", token], "--shapes", capsys)
+    monkeypatch.undo()
+    assert main(["verify", "--samples", "0", "--shapes", "6x6,1x6"]) == 0
+
+
+def test_cleared_scales_by_the_lcm_of_the_denominators():
+    F = [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3), Fraction(0)]]
+    G = cli._cleared(F)
+    assert G == [[6 * x for x in row] for row in F]
+    assert all(type(x) is int for row in G for x in row)
+    assert cli._cleared([[Fraction(0)] * 3] * 2) == [[0, 0, 0], [0, 0, 0]]
+    # every minor of order k scales by L^k, which is why the homogeneous suites may run on L·F
+    assert minors.minor(G, (1, 2), (1, 2)) == 6**2 * minors.minor(F, (1, 2), (1, 2))
+
+
+def test_verify_report_bytes_are_pinned():
+    doc = cmd_verify(samples=20, seed=7).to_json()
+    assert hashlib.sha256(doc.encode()).hexdigest() == "13efdac10f966740feeca9a89e0b0651bbeff3c10aaf725e1770d36ab626f319"
+
+
+@pytest.mark.parametrize("fault", ["laplace_mixed", "cauchy_binet_check"])
+def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
+    draws = []
+    real_draw = cli._rand_matrix
+
+    def spy(rng, m, n):
+        draws.append(real_draw(rng, m, n))
+        return draws[-1]
+
+    real = getattr(minors, fault)
+
+    def planted(*args):
+        out = real(*args)
+        return out + 1 if fault == "laplace_mixed" else (out[0], out[1] + 1)
+
+    monkeypatch.setattr(cli, "_rand_matrix", spy)
+    monkeypatch.setattr(minors, fault, planted)
+    report = cmd_verify(shapes=[(2, 2), (1, 3)], samples=4, seed=5)
+
+    def strs(F):
+        return [[str(x) for x in row] for row in F]
+
+    # each sample draws F, then M and N
+    if fault == "laplace_mixed":
+        name, want = "laplace_mixed", [strs(F) for F in draws[0::3]]
+    else:
+        name, want = "cauchy_binet", [{"M": strs(M), "N": strs(N)} for M, N in zip(draws[1::3], draws[2::3])]
+    assert report.passes[name] == {"pass": 0, "fail": 8}
+    assert [f["input"] for f in report.failures] == want
+    # some draws are not integers, so payloads of the cleared matrices would differ
+    assert any(x.denominator > 1 for F in draws for row in F for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +437,14 @@ def test_mcf_compare_single_dt_leaves_order_empty(tmp_path, capsys):
     assert main(["mcf-compare", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.split("acceleration order in dt:")[1].split("\n")[0].strip() == ""
+
+
+def test_mcf_compare_failing_flow_writes_nothing(tmp_path, capsys):
+    # the acceleration comparison passes; the graph flow then trips MAX_STEPS
+    path = mcf_config(tmp_path, graph_flow={"theta_end": 0.01, "step_factor": 1e-12})
+    assert main(["mcf-compare", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out" / "mcf_compare.csv").exists()
 
 
 def test_mcf_compare_rejects_nonzero_velocity(tmp_path):
