@@ -1,8 +1,9 @@
 """Command-line surface: verify, simulate, characteristics, mcf-compare.
 
-Exit codes: 0 success, 1 verification failure, 2 config/validation error,
-3 runtime blow-up.  Every output file, and the verify report for a fixed
-seed, is byte-identical across runs.
+Exit codes: 0 success, 1 verification failure, 2 config/validation error
+(``ConfigError``), 3 runtime blow-up (``BlowUpError``: a non-finite value,
+or tau, h or the induced metric out of range).  Every output file, and the
+verify report for a fixed seed, is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import flux, mcf, minors, solver
-from .minors import DomainError, enumerate_layout
-from .solver import ConfigError, Grid, Mode
-from .state import EPS_SINGULAR, PrimitiveState
+from .minors import ConfigError, enumerate_layout
+from .solver import Grid, Mode
+from .state import EPS_SINGULAR, BlowUpError, PrimitiveState
 
 DEFAULT_VERIFY_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
 # the layout enumerates C(m + n, n) - 1 minors, so one sample of 6x6 takes seconds and 8x8 far longer
@@ -343,7 +344,7 @@ def cmd_verify(shapes=DEFAULT_VERIFY_SHAPES, samples: int = 200, seed: int = 0) 
 
 @contextmanager
 def _naming(keys: str):
-    """Prefix a ConfigError with the config keys that size a march (solver.plan_steps bounds its step count)."""
+    """Prefix a ConfigError with the config keys behind it, such as those that size a march (solver.plan_steps)."""
     try:
         yield
     except ConfigError as exc:
@@ -362,14 +363,19 @@ def _output_dir(flag: str | None, configured: str) -> Path:
 
 
 def _write_run(out_dir: Path, rows, snapshots):
+    """diagnostics.csv and the snapshots; nothing if two snapshot times share a file name."""
+    names = [f"snapshot_t{t:.6f}.json" for t, _ in snapshots]
+    if len(set(names)) < len(names):
+        raise ConfigError("config.snapshot_cadence: two snapshot times format to one file name; keep them over 1e-6 apart")
     (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(rows))
-    for t, snap in snapshots:
-        (out_dir / f"snapshot_t{t:.6f}.json").write_text(solver.snapshot_to_json(snap))
+    for name, (_, snap) in zip(names, snapshots):
+        (out_dir / name).write_text(solver.snapshot_to_json(snap))
 
 
 def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
-    fld, oracle, _ = solver.initial_fields(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
+    with _naming("config.initial_data"):
+        fld, oracle, _ = solver.initial_fields(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
     out_dir = _output_dir(output_dir, cfg.output_dir)
     try:
         with _naming("config.scheme.cfl, config.t_end"):
@@ -381,7 +387,7 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
                 oracle=oracle if cfg.oracle_compare else None,
                 snapshot_cadence=cfg.snapshot_cadence,
             )
-    except solver.BlowUpError as exc:
+    except BlowUpError as exc:
         _write_run(out_dir, exc.rows, exc.snapshots)
         print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}", file=sys.stderr)
         return 3
@@ -610,10 +616,10 @@ def main(argv=None) -> int:
         if args.command == "mcf-compare":
             return cmd_mcf_compare(args.config, args.output_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DomainError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except solver.BlowUpError as exc:
+    except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

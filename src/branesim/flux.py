@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .minors import DomainError, MinorLayout, _rank, _sign, enumerate_layout
+from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout
 from .state import ConservativeState, PrimitiveState, _guard
 
 
@@ -175,7 +175,7 @@ def assemble_A(j: int, W: PrimitiveState):
     """
     lay = W.layout
     if not 1 <= j <= lay.n:
-        raise DomainError(f"direction {j} out of range 1..{lay.n}")
+        raise ConfigError(f"direction {j} out of range 1..{lay.n}")
     vec = W.as_vector()
     exact = any(isinstance(x, Fraction) for x in vec)
     dim = lay.state_dim
@@ -207,7 +207,7 @@ def rhs_nonconservative_point(W: PrimitiveState, grads) -> PrimitiveState:
     for g in grads:
         gv.append(g.as_vector() if isinstance(g, PrimitiveState) else list(g))
     if len(gv) != lay.n:
-        raise DomainError(f"expected {lay.n} gradient vectors, got {len(gv)}")
+        raise ConfigError(f"expected {lay.n} gradient vectors, got {len(gv)}")
     out = apply_terms(lay, W.as_vector(), gv, [0] * lay.state_dim)
     return PrimitiveState.from_vector(out, lay)
 
@@ -217,7 +217,7 @@ def conservative_flux(j: int, U: ConservativeState):
     lay = U.layout
     m, n = lay.m, lay.n
     if not 1 <= j <= n:
-        raise DomainError(f"direction {j} out of range 1..{n}")
+        raise ConfigError(f"direction {j} out of range 1..{n}")
     _guard(U.h, "|h|")
     h = U.h
     Mv = U.minor_value
@@ -291,7 +291,7 @@ def entropy_flux(U: ConservativeState, j: int):
     lay = U.layout
     n = lay.n
     if not 1 <= j <= n:
-        raise DomainError(f"direction {j} out of range 1..{n}")
+        raise ConfigError(f"direction {j} out of range 1..{n}")
     _guard(U.h, "|h|")
     h = U.h
     h2 = h * h
@@ -337,7 +337,7 @@ class CharField:
 
 def _require_n1(layout: MinorLayout):
     if layout.n != 1:
-        raise DomainError("characteristic formulas are only available for n = 1")
+        raise ConfigError("characteristic formulas are only available for n = 1")
 
 
 def char_speeds_n1(W: PrimitiveState):
@@ -417,7 +417,7 @@ def wave_speeds(W: PrimitiveState, nu) -> np.ndarray:
     lay = W.layout
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (lay.n,):
-        raise DomainError(f"direction vector must have length {lay.n}")
+        raise ConfigError(f"direction vector must have length {lay.n}")
     A = np.zeros((lay.state_dim, lay.state_dim))
     for j in range(1, lay.n + 1):
         if nu[j - 1] != 0.0:

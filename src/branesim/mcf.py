@@ -27,10 +27,6 @@ from . import solver as _solver
 from .solver import BlowUpError, ConfigError, Grid, GridField, derivative, fourier_series, initial_fields
 
 
-class DegenerateMetricError(ValueError):
-    """The induced metric lost positive definiteness."""
-
-
 @dataclass
 class EmbeddingField:
     """An immersed n-manifold sampled on a periodic parameter grid.
@@ -92,7 +88,7 @@ def _metric_from_gradients(dX: np.ndarray):
     else:
         raise ConfigError("induced metric supports n = 1 and n = 2 only")
     if np.min(detg) <= 0.0:
-        raise DegenerateMetricError(f"min det g = {np.min(detg):.6g}")
+        raise BlowUpError(float("nan"), f"min det g = {np.min(detg):.6g}")
     if n == 1:
         return g, detg, (1.0 / detg)[None, None]
     ginv = np.empty_like(g)
@@ -103,7 +99,7 @@ def _metric_from_gradients(dX: np.ndarray):
 
 
 def induced_metric(E: EmbeddingField):
-    """(g_ij, det g, g^ij) per point; raises if the metric degenerates."""
+    """(g_ij, det g, g^ij) per point; BlowUpError if the metric degenerates."""
     return _metric_from_gradients(E.gradients())
 
 

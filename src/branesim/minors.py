@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb
 
 
-class DomainError(ValueError):
-    """An argument is outside the operation's domain."""
+class ConfigError(ValueError):
+    """An input is missing, malformed, or outside an operation's domain; the CLI exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ class MinorLayout:
 
     def __init__(self, m: int, n: int):
         if m < 1 or n < 1:
-            raise DomainError(f"matrix dimensions must be >= 1, got ({m}, {n})")
+            raise ConfigError(f"matrix dimensions must be >= 1, got ({m}, {n})")
         self.m = m
         self.n = n
         self.r = min(m, n)
@@ -71,11 +71,9 @@ class MinorLayout:
         try:
             return self.index_of[key]
         except KeyError:
-            raise DomainError(f"no minor slot for pair {key} in a {self.m}x{self.n} layout") from None
+            raise ConfigError(f"no minor slot for pair {key} in a {self.m}x{self.n} layout") from None
 
     # --- slots in the full state vector ------------------------------------
-    tau_slot = 0
-
     def d_slot(self, alpha: int) -> int:
         return alpha
 
@@ -117,7 +115,7 @@ def _rows(F) -> list[list]:
     """
     if hasattr(F, "ndim") and hasattr(F, "shape"):
         if F.ndim < 2:
-            raise DomainError("matrix argument must be at least 2-dimensional")
+            raise ConfigError("matrix argument must be at least 2-dimensional")
         return [[F[a, i] for i in range(F.shape[1])] for a in range(F.shape[0])]
     return [list(r) for r in F]
 
@@ -126,7 +124,7 @@ def _dims(rows) -> tuple[int, int]:
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
-        raise DomainError("ragged rows")
+        raise ConfigError("ragged rows")
     return m, n
 
 
@@ -175,7 +173,7 @@ def _det_bareiss(rows):
 def _adjugate(rows) -> list[list]:
     k, k2 = _dims(rows)
     if k != k2:
-        raise DomainError("adjugate needs a square matrix")
+        raise ConfigError("adjugate needs a square matrix")
     if k == 1:
         return [[rows[0][0] ** 0]]
     adj = [[None] * k for _ in range(k)]
@@ -205,11 +203,11 @@ def minor(F, A, I):
     m, n = _dims(rows)
     a, i = tuple(A), tuple(I)
     if len(a) != len(i):
-        raise DomainError(f"row and column sets must have equal size, got {a} vs {i}")
+        raise ConfigError(f"row and column sets must have equal size, got {a} vs {i}")
     if a and (a[0] < 1 or a[-1] > m):
-        raise DomainError(f"row set {a} out of range for {m} rows")
+        raise ConfigError(f"row set {a} out of range for {m} rows")
     if i and (i[0] < 1 or i[-1] > n):
-        raise DomainError(f"column set {i} out of range for {n} columns")
+        raise ConfigError(f"column set {i} out of range for {n} columns")
     if not a:
         return 1
     return _det([[rows[p - 1][q - 1] for q in i] for p in a])
@@ -220,7 +218,7 @@ def all_minors(F, layout: MinorLayout) -> list:
     rows = _rows(F)
     m, n = _dims(rows)
     if (m, n) != (layout.m, layout.n):
-        raise DomainError(f"matrix is {m}x{n} but layout is {layout.m}x{layout.n}")
+        raise ConfigError(f"matrix is {m}x{n} but layout is {layout.m}x{layout.n}")
     out = []
     for A, I in layout._raw:
         out.append(_det([[rows[p - 1][q - 1] for q in I] for p in A]))
@@ -234,13 +232,13 @@ def cauchy_binet_check(M, N, I, J):
     m, l = _dims(mr)
     l2, n = _dims(nr)
     if l != l2:
-        raise DomainError(f"inner dimensions differ: {l} vs {l2}")
+        raise ConfigError(f"inner dimensions differ: {l} vs {l2}")
     iset, jset = tuple(I), tuple(J)
     k = len(iset)
     if len(jset) != k:
-        raise DomainError("row and column subsets must have equal size")
+        raise ConfigError("row and column subsets must have equal size")
     if k > l:
-        raise DomainError(f"subset size {k} exceeds inner dimension {l}")
+        raise ConfigError(f"subset size {k} exceeds inner dimension {l}")
     prod = [[sum(mr[a][t] * nr[t][b] for t in range(l)) for b in range(n)] for a in range(m)]
     lhs = minor(prod, iset, jset)
     rhs = 0
@@ -259,7 +257,7 @@ def xi(F):
 def xi_minor_sum(minors_vec, layout: MinorLayout | None = None):
     """1 + sum of squared minors; equals xi(F) when the vector holds all minors of F."""
     if layout is not None and len(minors_vec) != layout.minor_count:
-        raise DomainError("minor vector length does not match layout")
+        raise ConfigError("minor vector length does not match layout")
     out = 1
     for v in minors_vec:
         out = out + v * v
@@ -281,7 +279,7 @@ def xi_prime(F):
 def xi_prime_minor_sum(minors_vec, layout: MinorLayout):
     """xi' assembled from minors alone, with signs (-1)^{O_A(a)+O_I(i)}."""
     if len(minors_vec) != layout.minor_count:
-        raise DomainError("minor vector length does not match layout")
+        raise ConfigError("minor vector length does not match layout")
 
     def val(a, i):
         return 1 if not a else minors_vec[layout.index_of[(a, i)]]
@@ -307,7 +305,7 @@ def z_matrix(F):
 def z_minor_sum(minors_vec, layout: MinorLayout):
     """Z assembled from minors: (1 + sum m^2) delta_ij minus the signed swap products."""
     if len(minors_vec) != layout.minor_count:
-        raise DomainError("minor vector length does not match layout")
+        raise ConfigError("minor vector length does not match layout")
     n = layout.n
     s2 = xi_minor_sum(minors_vec)
     out = [[s2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -337,13 +335,13 @@ def laplace_mixed(F, A, I, q: int, j: int):
     a, iset = tuple(A), tuple(I)
     k = len(a)
     if k != len(iset) or k < 1:
-        raise DomainError("need |A| = |I| >= 1")
+        raise ConfigError("need |A| = |I| >= 1")
     if not 1 <= q <= k:
-        raise DomainError(f"position q={q} out of range 1..{k}")
+        raise ConfigError(f"position q={q} out of range 1..{k}")
     if not 1 <= j <= n:
-        raise DomainError(f"column j={j} out of range 1..{n}")
+        raise ConfigError(f"column j={j} out of range 1..{n}")
     if a[-1] > m or iset[-1] > n:
-        raise DomainError("index set out of matrix range")
+        raise ConfigError("index set out of matrix range")
     icut = tuple(x for x in iset if x != iset[q - 1])
     out = 0
     for p in range(1, k + 1):

@@ -22,36 +22,18 @@ from itertools import combinations
 import numpy as np
 
 from . import flux as _flux
-from .minors import MinorLayout, _rank, _sign, enumerate_layout
+from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout
 from .state import (
-    EPS_SINGULAR,
+    BlowUpError,
     GraphData,
     PrimitiveState,
-    SingularStateError,
+    _guard,
     constraint_residuals,
     lift,
     reconstruct_graph,
     to_conservative,
     to_primitive,
 )
-
-
-class ConfigError(ValueError):
-    """A run parameter is missing, malformed, or out of range."""
-
-
-class BlowUpError(RuntimeError):
-    """Non-finite values appeared during time stepping."""
-
-    def __init__(self, t: float, rows=None, snapshots=None):
-        super().__init__(f"non-finite state at t={t:.6g}")
-        self.t = t
-        self.rows = rows or []
-        self.snapshots = snapshots or []
-
-
-class TimelikeError(ConfigError):
-    """Initial data violates the time-like margin."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +222,7 @@ def sigma_residual(fld: GridField) -> dict:
     lay = fld.layout
     n, r = lay.n, lay.r
     tau = fld.values[0]
-    if np.min(np.abs(tau)) <= EPS_SINGULAR:
-        raise SingularStateError("tau is too small for sigma reconstruction")
+    _guard(tau, "|tau|")
     out = {}
     for kI in range(2, min(n, r + 1) + 1):
         for Ap in combinations(range(1, lay.m + 1), kI - 1):
@@ -308,7 +289,7 @@ def graph_momentum(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     q = np.einsum("pa,ap->p", W, Vr)
     slack = 1.0 - q
     if np.min(slack) < TIMELIKE_MARGIN:
-        raise TimelikeError(
+        raise ConfigError(
             f"initial data is not time-like enough: min(1 - V zeta^-1 V) = {np.min(slack):.6g} < {TIMELIKE_MARGIN}"
         )
     # xi = det(I_n + F^T F) pointwise
@@ -424,19 +405,20 @@ def march(state, t_end: float, dt_max: float, step, *, min_steps: int = 1, after
     """state = step(state, dt) over the steps of plan_steps; returns the final state.
 
     after(k, t, state) sees the start (k = 0) and step k at t = k dt, the last at t_end itself.  Steps and
-    after calls run with numpy's warnings off: step raises BlowUpError on non-finite output, re-raised with
-    the step's t.
+    after calls run with numpy's warnings off; a BlowUpError from either (step raises one on non-finite
+    output) is re-raised with the t of that step or row and its reason.
     """
     steps, dt = plan_steps(t_end, dt_max, min_steps)
+    t = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        after(0, 0.0, state)
-        for k in range(1, steps + 1):
-            t = t_end if k == steps else k * dt
-            try:
+        try:
+            after(0, t, state)
+            for k in range(1, steps + 1):
+                t = t_end if k == steps else k * dt
                 state = step(state, dt)
-            except BlowUpError:
-                raise BlowUpError(t) from None
-            after(k, t, state)
+                after(k, t, state)
+        except BlowUpError as exc:
+            raise BlowUpError(t, exc.reason) from None
     return state
 
 
@@ -491,8 +473,8 @@ def run(
 
     ``march`` takes equal steps, bounded by the CFL bound at t = 0, that land
     exactly on t_end.  Diagnostics rows are emitted at t = 0, every output
-    cadence, and at the end; a blow-up aborts with partial rows attached to
-    the raised error.
+    cadence, and at the end; a blow-up, in a step or in a row, aborts with
+    the rows and snapshots before it attached to the raised error.
     """
     fld = fld.copy()
     dt_max = cfl_dt(fld, cfl)

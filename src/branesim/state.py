@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .minors import (
-    DomainError,
+    ConfigError,
     MinorLayout,
     _dims,
     _rank,
@@ -35,8 +35,18 @@ from .minors import (
 EPS_SINGULAR = 1e-12
 
 
-class SingularStateError(ValueError):
-    """Division by a (near-)vanishing energy density or tau."""
+class BlowUpError(RuntimeError):
+    """A non-finite state, |tau| or |h| at most EPS_SINGULAR, or a degenerate metric; the CLI exits 3.
+
+    Guards raise with t = nan; ``solver.march`` re-raises with the t of the failing step or row.
+    """
+
+    def __init__(self, t: float, reason: str = "non-finite state", rows=None):
+        super().__init__(f"{reason} at t={t:.6g}")
+        self.t = t
+        self.reason = reason
+        self.rows = rows or []
+        self.snapshots = []
 
 
 @dataclass
@@ -64,13 +74,8 @@ class PrimitiveState:
     def from_vector(cls, vec, layout: MinorLayout) -> "PrimitiveState":
         m, n = layout.m, layout.n
         if len(vec) != layout.state_dim:
-            raise DomainError(f"state vector has length {len(vec)}, expected {layout.state_dim}")
+            raise ConfigError(f"state vector has length {len(vec)}, expected {layout.state_dim}")
         return cls(vec[0], list(vec[1 : 1 + m]), list(vec[1 + m : 1 + m + n]), list(vec[1 + m + n :]), layout)
-
-    def minor_value(self, A, I):
-        """m_{A,I}, with the empty pair routed to tau."""
-        slot = self.layout.state_slot(A, I)
-        return self.tau if slot == 0 else self.m_minors[slot - 1 - self.layout.m - self.layout.n]
 
 
 @dataclass
@@ -136,10 +141,10 @@ def lift(g: GraphData, layout: MinorLayout | None = None) -> ConservativeState:
     if layout is None:
         layout = enumerate_layout(m, n)
     elif (layout.m, layout.n) != (m, n):
-        raise DomainError("layout does not match graph data shape")
+        raise ConfigError("layout does not match graph data shape")
     D = list(g.D)
     if len(D) != m:
-        raise DomainError(f"D has length {len(D)}, expected {m}")
+        raise ConfigError(f"D has length {len(D)}, expected {m}")
     P = [sum(rows[a][i] * D[a] for a in range(m)) for i in range(n)]
     M = all_minors(rows, layout)
     h2 = 1
@@ -156,7 +161,7 @@ def lift(g: GraphData, layout: MinorLayout | None = None) -> ConservativeState:
 
 def _guard(value, what):
     if np.min(np.abs(value)) <= EPS_SINGULAR:
-        raise SingularStateError(f"{what} is below {EPS_SINGULAR} somewhere")
+        raise BlowUpError(float("nan"), f"{what} below {EPS_SINGULAR}")
 
 
 def to_primitive(U: ConservativeState) -> PrimitiveState:

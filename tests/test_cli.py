@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branesim import cli, minors, solver
+import branesim
+from branesim import cli, mcf, minors, solver, state
 from branesim.cli import cmd_verify, main, parse_run_config
 from branesim.solver import ConfigError
 
@@ -211,6 +214,10 @@ def test_simulate_validation_messages(tmp_path, capsys):
         ({"scheme": {"cfl": 5e-324}}, "config.scheme.cfl, config.t_end: end time 0.2 and step bound 0.0 must be positive"),
         ({"scheme": {"cfl": 1e-300}}, "config.scheme.cfl, config.t_end: reaching 0.2 in steps"),
         ({"t_end": 1e300}, "config.scheme.cfl, config.t_end: reaching 1e+300 in steps"),
+        (
+            {"initial_data": {"X_modes": [], "V_modes": [dict(mode, amplitude=1.2)]}},
+            "config.initial_data: initial data is not time-like enough",
+        ),
     ]
     for bad, key in cases:
         path = flat_config(tmp_path, **bad)
@@ -221,6 +228,9 @@ def test_simulate_validation_messages(tmp_path, capsys):
         path = tmp_path / "string.json"
         path.write_text(json.dumps(dict(string, output_dir=str(tmp_path / "out"), **bad)))
         assert_rejected(["simulate", str(path)], "config.scheme.cfl, config.t_end", capsys)
+    string["initial_data"]["V_modes"][0]["amplitude"] = 1.2
+    path.write_text(json.dumps(dict(string, output_dir=str(tmp_path / "out"))))
+    assert_rejected(["simulate", str(path)], "config.initial_data: initial data is not time-like enough", capsys)
     # the keys stay accepted at the values existing configs send
     for scheme in ({"filter_strength": 0}, {"filter_strength": 0.0}, {"stencil_order": 2}, {"stencil_order": 2.0}, {}):
         parse_run_config(json.loads(flat_config(tmp_path, scheme=scheme).read_text()))
@@ -256,6 +266,32 @@ def test_simulate_blowup_is_reported_once_at_the_failing_step(tmp_path, capsys, 
     assert t == k * dt
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().split("\n")[1:]
     assert float(rows[-1].split(",")[0]) < t
+
+
+def test_simulate_guard_in_a_diagnostics_row_exits_3_with_the_rows_before_it(tmp_path, capsys):
+    # tau grows to about 8e18 by the t = 0.294 row, whose entropy flux trips the |h| guard
+    cfg = json.loads((CONFIG_DIR / "string_n1.json").read_text())
+    cfg["initial_data"]["X_modes"][0].update(amplitude=2.0, wave=[3])
+    cfg["initial_data"]["V_modes"][0].update(amplitude=0.9, wave=[3])
+    cfg.update(t_end=5.0, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 3
+    assert capsys.readouterr().err == f"blow-up at t=0.294118; partial diagnostics written to {tmp_path / 'out'}\n"
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().split("\n")[1:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 5.0 / 51, 10.0 / 51], rel=1e-15)
+    assert sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.json")) == ["snapshot_t0.000000.json"]
+
+
+def test_simulate_rejects_snapshots_that_share_a_file_name(tmp_path, capsys):
+    # one step of 4e-7: the snapshots at t = 0 and t = 4e-7 both format to snapshot_t0.000000.json
+    cfg = json.loads((CONFIG_DIR / "string_n1.json").read_text())
+    cfg.update(t_end=4e-7, snapshot_cadence=1e-7, output_cadence=0, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(cfg))
+    assert_rejected(["simulate", str(path)], "config.snapshot_cadence: two snapshot times format to one file name", capsys)
+    assert not list((tmp_path / "out").glob("snapshot_*.json"))
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):
@@ -621,13 +657,60 @@ def test_threads_flag_validation(tmp_path, capsys):
 def test_python_m_branesim_runs_without_warning():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "branesim", "verify", "--samples", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
-    assert json.loads(proc.stdout)
+    for module in ("branesim", "branesim.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", module, "verify", "--samples", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert "RuntimeWarning" not in proc.stderr, module
+        assert json.loads(proc.stdout)
+
+
+def test_the_only_exception_classes_are_config_and_blowup_errors():
+    defined = {}
+    for info in pkgutil.iter_modules(branesim.__path__):
+        module = importlib.import_module(f"branesim.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                defined[name] = obj
+    assert defined == {"ConfigError": minors.ConfigError, "BlowUpError": state.BlowUpError}
+    # the solver and the CLI re-export the same two classes
+    assert solver.ConfigError is cli.ConfigError is minors.ConfigError
+    assert solver.BlowUpError is cli.BlowUpError is state.BlowUpError
+
+
+def _raise(exc):
+    raise exc
+
+
+def _zero_tau():
+    lay = minors.enumerate_layout(1, 1)
+    state.to_conservative(state.PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
+
+
+def _flat_metric():
+    grid = solver.Grid((16,), (2 * math.pi,))
+    mcf.induced_metric(mcf.EmbeddingField.from_closed_curve(grid, np.zeros((2, 16))))
+
+
+@pytest.mark.parametrize(
+    "raise_it, code, line",
+    [
+        (lambda: _raise(minors.ConfigError("config.m: bad")), 2, "error: config.m: bad"),
+        (lambda: _raise(state.BlowUpError(0.5)), 3, "error: non-finite state at t=0.5"),
+        (_zero_tau, 3, "error: |tau| below 1e-12 at t=nan"),
+        (_flat_metric, 3, "error: min det g = 0 at t=nan"),
+    ],
+    ids=["config", "blowup", "tau-guard", "metric-guard"],
+)
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, raise_it, code, line):
+    # ConfigError exits 2 and BlowUpError 3, with one line and no traceback; a guard
+    # that trips outside a march does not know the time, so it reports t=nan
+    monkeypatch.setattr(cli, "cmd_characteristics", lambda path: raise_it())
+    capsys.readouterr()
+    assert main(["characteristics", "state.json"]) == code
+    assert capsys.readouterr().err == line + "\n"

@@ -7,7 +7,7 @@ import pytest
 
 from branesim import minors
 from branesim.minors import (
-    DomainError,
+    ConfigError,
     all_minors,
     cauchy_binet_check,
     enumerate_layout,
@@ -95,9 +95,9 @@ def test_layout_counts_match_binomials():
 
 
 def test_layout_rejects_bad_dims():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         enumerate_layout.__wrapped__(0, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         enumerate_layout.__wrapped__(2, -1)
 
 
@@ -110,9 +110,9 @@ def test_minor_examples():
     assert minor(F, (1, 2), (1, 2)) == -2
     assert minor(F, (), ()) == 1
     assert minor(F, (2,), (1,)) == 3
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         minor(F, (1, 2), (1,))
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         minor(F, (3,), (1,))
 
 
@@ -121,7 +121,7 @@ def test_all_minors_examples():
     assert all_minors([[0, 0], [0, 0]], lay) == [0, 0, 0, 0, 0]
     assert all_minors([[1, 0], [0, 1]], lay) == [1, 0, 0, 1, 1]
     assert all_minors([[1, 2], [3, 4]], lay) == [1, 2, 3, 4, -2]
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         all_minors([[1, 2, 3]], lay)
 
 
@@ -147,7 +147,7 @@ def test_cauchy_binet_examples():
     assert (lhs, rhs) == (11, 11)
     lhs, rhs = cauchy_binet_check([[1, 2]], [[3], [4]], (), ())
     assert (lhs, rhs) == (1, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         cauchy_binet_check([[1, 2]], [[3, 4]], (1,), (1,))
 
 
@@ -211,11 +211,11 @@ def test_laplace_mixed_examples():
         G = rand_matrix(rng, 3, 3)
         assert laplace_mixed(G, (1, 2), (1, 3), 2, 1) == 0
         assert laplace_mixed(G, (1, 3), (2, 3), 1, 3) == 0
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         laplace_mixed(F, (1, 2), (1, 2), 3, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         laplace_mixed(F, (1, 2), (1, 2), 1, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         laplace_mixed(F, (), (), 1, 1)
 
 

@@ -211,6 +211,20 @@ def test_march_reraises_blowup_with_the_time_of_the_failing_step():
     assert info.value.t == 0.75
 
 
+@pytest.mark.parametrize("k_fail", [0, 2, 4])
+def test_march_reraises_a_blowup_in_after_with_the_time_of_that_row(k_fail):
+    # a guard that trips in a diagnostics row (after) keeps its reason and gets the row's t = k dt
+    def after(k, t, y):
+        if k == k_fail:
+            raise BlowUpError(math.nan, "|h| below 1e-12")
+
+    with pytest.raises(BlowUpError) as info:
+        march(0, 1.0, 0.3, lambda y, dt: y + 1, after=after)
+    assert info.value.t == k_fail * 0.25
+    assert info.value.reason == "|h| below 1e-12"
+    assert str(info.value) == f"|h| below 1e-12 at t={info.value.t:.6g}"
+
+
 def test_rk4_blowup_detected():
     y = np.array([1e200])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,7 +319,7 @@ def test_initial_data_is_on_manifold():
 
 def test_timelike_guard():
     g = Grid((32,), (TWO_PI,))
-    with pytest.raises(solver.TimelikeError):
+    with pytest.raises(ConfigError):
         initial_fields(g, 1, [], [Mode(1, (1,), 1.2, 0.0)])
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from branesim.minors import enumerate_layout
 from branesim.state import (
+    BlowUpError,
     ConservativeState,
     GraphData,
     PrimitiveState,
-    SingularStateError,
     constraint_residuals,
     lift,
     lifted_residuals_scaled,
@@ -74,7 +74,7 @@ def test_to_primitive_examples():
     assert (W.tau, W.d, W.v, W.m_minors) == (1.0, [0.0], [0.0], [0.0])
     W = to_primitive(ConservativeState(2.0, [1.0], [1.0], [0.0], lay))
     assert (W.tau, W.d[0], W.v[0]) == (0.5, 0.5, 0.5)
-    with pytest.raises(SingularStateError):
+    with pytest.raises(BlowUpError):
         to_primitive(ConservativeState(0.0, [0.0], [0.0], [0.0], lay))
 
 
@@ -84,7 +84,7 @@ def test_to_conservative_examples():
     assert U.h == 1.0
     U = to_conservative(PrimitiveState(0.5, [0.5], [0.5], [0.0], lay))
     assert (U.h, U.D[0], U.P[0]) == (2.0, 1.0, 1.0)
-    with pytest.raises(SingularStateError):
+    with pytest.raises(BlowUpError):
         to_conservative(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
 
 
@@ -113,7 +113,7 @@ def test_reconstruct_examples():
     assert g.F == [[0.3]]
     g = reconstruct_graph(PrimitiveState(0.5, [0.0], [0.0], [0.5], lay))
     assert g.F == [[1.0]]
-    with pytest.raises(SingularStateError):
+    with pytest.raises(BlowUpError):
         reconstruct_graph(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
 
 
