@@ -389,7 +389,7 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
             )
     except BlowUpError as exc:
         _write_run(out_dir, exc.rows, exc.snapshots)
-        print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}", file=sys.stderr)
+        print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}; {exc.reason}", file=sys.stderr)
         return 3
     _write_run(out_dir, result.rows, result.snapshots)
     last = result.rows[-1]

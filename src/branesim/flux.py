@@ -188,11 +188,15 @@ def assemble_A(j: int, W: PrimitiveState):
 def apply_terms(layout: MinorLayout, W_vec, grad_vecs, out):
     """Subtract sum_j A_j(W) d_j W, from the direct term table, into ``out``.
 
-    ``W_vec``, ``grad_vecs[j-1]`` and ``out`` are indexable by state slot;
-    entries may be scalars or grid arrays.  Returns ``out``.
+    ``W_vec``, ``grad_vecs[j-1]`` and ``out`` are indexable by state slot, with
+    array rows of one shape; ``out`` is updated in place through one scratch
+    row.  Returns ``out``.
     """
+    tmp = np.empty_like(out[0])
     for row, coeff, deriv, axis, sign in _direct_terms(layout.m, layout.n):
-        out[row] -= sign * W_vec[coeff] * grad_vecs[axis - 1][deriv]
+        np.multiply(W_vec[coeff], grad_vecs[axis - 1][deriv], out=tmp)
+        # out -= sign * W * g, exactly: (-W) g = -(W g) and a - (-x) = a + x
+        (np.add if sign < 0 else np.subtract)(out[row], tmp, out=out[row])
     return out
 
 
@@ -200,7 +204,9 @@ def rhs_nonconservative_point(W: PrimitiveState, grads) -> PrimitiveState:
     """Pointwise d_t W given the n spatial gradients of W.
 
     Transcribed term by term from the four evolution equations, independently
-    of ``assemble_A``; the two are reconciled by tests.
+    of ``assemble_A``; the two are reconciled by tests.  The entries go through
+    ``apply_terms`` as one-point rows of Python objects, so exact (Fraction)
+    entries stay exact.
     """
     lay = W.layout
     gv = []
@@ -208,8 +214,12 @@ def rhs_nonconservative_point(W: PrimitiveState, grads) -> PrimitiveState:
         gv.append(g.as_vector() if isinstance(g, PrimitiveState) else list(g))
     if len(gv) != lay.n:
         raise ConfigError(f"expected {lay.n} gradient vectors, got {len(gv)}")
-    out = apply_terms(lay, W.as_vector(), gv, [0] * lay.state_dim)
-    return PrimitiveState.from_vector(out, lay)
+
+    def rows(vec):
+        return np.array(vec, dtype=object).reshape(lay.state_dim, 1)
+
+    out = apply_terms(lay, rows(W.as_vector()), [rows(g) for g in gv], rows([0] * lay.state_dim))
+    return PrimitiveState.from_vector(list(out[:, 0]), lay)
 
 
 def conservative_flux(j: int, U: ConservativeState):

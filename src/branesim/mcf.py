@@ -215,12 +215,19 @@ def acceleration_limit_test(grid: Grid, m: int, x_modes, dt: float, *, cfl: floa
         raise ConfigError("acceleration limit requires velocity-free initial data")
     dim = fld.layout.state_dim
 
-    def rhs(y):
+    def rhs(y, out):
         wfld = GridField(grid, fld.layout, y[:dim])
-        return np.concatenate([_solver.rhs_augmented(wfld), _height_velocity(wfld)])
+        _solver.rhs_augmented(wfld, out[:dim])
+        out[dim:] = _height_velocity(wfld)
+        return out
+
+    names = _solver._component_names(fld.layout) + [f"u_{a}" for a in range(1, m + 1)]
+
+    def step(y, h):
+        return _solver.rk4_step(y, h, rhs, names=names)
 
     y0 = np.concatenate([fld.values, u0], axis=0)
-    y = _solver.march(y0, dt, _solver.cfl_dt(fld, cfl), lambda y, h: _solver.rk4_step(y, h, rhs), min_steps=2)
+    y = _solver.march(y0, dt, _solver.cfl_dt(fld, cfl), step, min_steps=2)
 
     a_disc = 2.0 * (y[dim:] - u0) / dt**2
     w_g = graph_gauge_velocity(grid, F0)
@@ -247,9 +254,17 @@ def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_fa
 
     The steps are at most step_factor * ds * radius, with the arclength spacing
     ds = radius * du and radius the period over 2 pi, so they scale as radius^2.
+    ConfigError when they are longer than the (radius^2 - 2 theta_end) / 2 left
+    from theta_end to the collapse, which one step would overshoot.
     """
     E = circle_embedding(points, radius)
     dtheta_max = step_factor * (radius * E.grid.spacing[0]) * radius
+    _, dtheta = _solver.plan_steps(theta_end, dtheta_max)
+    left = (radius * radius - 2.0 * theta_end) / 2.0
+    if dtheta > left:
+        raise ConfigError(
+            f"steps of {dtheta:.6g} are longer than the {left:.6g} from the end time to the circle's collapse"
+        )
     rows = []
     _solver.march(E, theta_end, dtheta_max, mcf_step, after=lambda k, t, E: rows.append((t, mean_radius(E))))
     return tuple(np.array(rows).T)

@@ -105,25 +105,48 @@ class GridField:
 # stencils
 
 
-def derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+def derivative(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Second-order central difference along spatial axis (0-based) with periodic wrap.
 
     Acts on the trailing grid axes, so leading component axes pass through.
+    Written into ``out`` (shaped like ``values``, not sharing its memory) when
+    given, else into a new array; returns it.
     """
     if axis < 0 or axis >= grid.n:
         raise ConfigError(f"axis {axis} out of range for {grid.n}-d grid")
-    ax = values.ndim - grid.n + axis
-    return (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2 * grid.spacing[axis])
+    if out is None:
+        out = np.empty(values.shape, np.result_type(values, 1.0))
+    lead = (slice(None),) * (values.ndim - grid.n + axis)
+
+    def at(start, stop=None):
+        return lead + (slice(start, stop),)
+
+    # interior points, then the two rows that wrap, all as slices so 1-d rows stay arrays
+    np.subtract(values[at(2)], values[at(None, -2)], out=out[at(1, -1)])
+    np.subtract(values[at(1, 2)], values[at(-1)], out=out[at(None, 1)])
+    np.subtract(values[at(None, 1)], values[at(-2, -1)], out=out[at(-1)])
+    out /= 2 * grid.spacing[axis]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def rhs_augmented(fld: GridField) -> np.ndarray:
-    """d_t W on the whole grid; the pointwise term table applied with stencils."""
-    grads = [derivative(fld.values, fld.grid, j) for j in range(fld.grid.n)]
-    return _flux.apply_terms(fld.layout, fld.values, grads, np.zeros_like(fld.values))
+def rhs_augmented(fld: GridField, out: np.ndarray | None = None) -> np.ndarray:
+    """d_t W on the whole grid; the pointwise term table applied with stencils.
+
+    Written into ``out`` (shaped like ``fld.values``, not sharing its memory)
+    when given, else into a new array; returns it.  The n gradients live in one
+    array for the call only.
+    """
+    grads = np.empty((fld.grid.n, *fld.values.shape))
+    for j in range(fld.grid.n):
+        derivative(fld.values, fld.grid, j, out=grads[j])
+    if out is None:
+        out = np.empty_like(fld.values)
+    out.fill(0.0)
+    return _flux.apply_terms(fld.layout, fld.values, grads, out)
 
 
 def _xi_and_xi_prime(F: np.ndarray):
@@ -150,35 +173,84 @@ def _xi_and_xi_prime(F: np.ndarray):
     raise ConfigError("oracle closed forms cover n = 1 and n = 2 only")
 
 
-def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid):
-    """d_t (F, D) of the original graph system on the grid."""
+def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
+    """d_t (F, D) of the original graph system on the grid.
+
+    Written into ``out = (dF, dD)``, arrays shaped like F and D, when given,
+    else into new arrays; returns the pair.
+    """
     m, n = F.shape[0], F.shape[1]
     if n != grid.n:
         raise ConfigError("F shape does not match grid dimension")
     P = np.einsum("ai...,a...->i...", F, D)
     xi, xp = _xi_and_xi_prime(F)
     h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi)
-    dF = np.empty_like(F)
-    dD = np.zeros_like(D)
+    dF, dD = (np.empty_like(F), np.empty_like(D)) if out is None else out
+    dD.fill(0.0)
     for alpha in range(m):
         base = D[alpha] + np.einsum("j...,j...->...", F[alpha], P)
         for i in range(n):
-            dF[alpha, i] = -derivative(base / h, grid, i)
+            np.negative(derivative(base / h, grid, i, out=dF[alpha, i]), out=dF[alpha, i])
             dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha, i]) / h, grid, i)
     return dF, dD
 
 
-def rk4_step(y: np.ndarray, dt: float, rhs) -> np.ndarray:
-    """Classical four-stage Runge-Kutta update."""
+def _rk4_stages(y: np.ndarray, dt: float, rhs, acc: np.ndarray, k: np.ndarray, out: np.ndarray):
+    """The classical four-stage Runge-Kutta update of y into out, one stage per iteration.
+
+    Yields (stage, its state, its slope) after each evaluation of rhs(state, slope); when
+    exhausted, out holds y + (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed in that order.  acc, k
+    and out are buffers shaped like y; out doubles as the stage state.
+    """
+    rhs(y, acc)
+    yield 1, y, acc
+    prev = acc
+    for stage, c in ((2, 0.5), (3, 0.5), (4, 1.0)):
+        np.multiply(prev, c * dt, out=out)
+        np.add(y, out, out=out)
+        if stage > 2:
+            k *= 2.0
+            acc += k
+        rhs(out, k)
+        yield stage, out, k
+        prev = k
+    acc += k
+    acc *= dt / 6.0
+    np.add(y, acc, out=out)
+
+
+def _blowup_reason(y: np.ndarray, dt: float, rhs, names) -> str:
+    """Replays a step from y on fresh buffers; names its first non-finite stage, component and grid index."""
+    where, bufs = "the update", (np.empty_like(y), np.empty_like(y), np.empty_like(y))
+    for stage, state, slope in _rk4_stages(y, dt, rhs, *bufs):
+        bad = next((a for a in (state, slope) if not np.all(np.isfinite(a))), None)
+        if bad is not None:
+            where = f"RK stage {stage}"
+            break
+    else:
+        bad = bufs[2]
+    c, *point = (int(i) for i in np.unravel_index(np.flatnonzero(~np.isfinite(bad))[0], bad.shape))
+    return f"non-finite state in {where}: {names[c] if names else f'component {c}'} at grid index {point}"
+
+
+def rk4_step(y: np.ndarray, dt: float, rhs, out=None, work=None, names=None) -> np.ndarray:
+    """Classical four-stage Runge-Kutta update; returns y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
+
+    ``rhs(state, slope)`` writes d_t state into ``slope``.  The result goes into ``out``,
+    which doubles as the stage state, and the slopes into ``work = (acc, k)``; each is a
+    buffer shaped like y that does not share its memory, allocated when not given, so a
+    caller that keeps them across steps allocates nothing per step.  y is only read.  A
+    non-finite result raises BlowUpError naming the first RK stage, component (its name
+    in ``names``, else its index) and grid index that went non-finite.
+    """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc, k = work if work is not None else (np.empty_like(y), np.empty_like(y))
+    out = np.empty_like(y) if out is None else out
+    for _ in _rk4_stages(y, dt, rhs, acc, k, out):
+        pass
     if not np.all(np.isfinite(out)):
-        raise BlowUpError(float("nan"))
+        raise BlowUpError(float("nan"), _blowup_reason(y, dt, rhs, names))
     return out
 
 
@@ -441,12 +513,19 @@ def _snapshot(fld: GridField, t: float) -> dict:
         "sizes": list(fld.grid.sizes),
         "lengths": list(fld.grid.lengths),
         "layout": [[list(A), list(I)] for A, I in lay._raw],
-        "components": ["tau"]
-        + [f"d_{a}" for a in range(1, lay.m + 1)]
-        + [f"v_{i}" for i in range(1, lay.n + 1)]
-        + [f"m_{list(A)}_{list(I)}" for A, I in lay._raw],
+        "components": _component_names(lay),
         "values": fld.values.copy(),
     }
+
+
+def _component_names(lay: MinorLayout) -> list[str]:
+    """The names of the rows of a field's values, as its snapshots list them."""
+    return (
+        ["tau"]
+        + [f"d_{a}" for a in range(1, lay.m + 1)]
+        + [f"v_{i}" for i in range(1, lay.n + 1)]
+        + [f"m_{list(A)}_{list(I)}" for A, I in lay._raw]
+    )
 
 
 def _packed(F: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -458,6 +537,11 @@ def _unpacked(y: np.ndarray, n: int):
     """The (F, D) views of a _packed array on an n-d grid."""
     m = len(y) // (n + 1)
     return y[: m * n].reshape(m, n, *y.shape[1:]), y[m * n :]
+
+
+def _packed_names(m: int, n: int) -> list[str]:
+    """The names of the rows of a _packed array: F_a_i, then D_a."""
+    return [f"F_{a}_{i}" for a in range(1, m + 1) for i in range(1, n + 1)] + [f"D_{a}" for a in range(1, m + 1)]
 
 
 def run(
@@ -483,14 +567,27 @@ def run(
     out_every = steps if output_cadence <= 0 else max(1, round(min(output_cadence, t_end) / dt))
     snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
     rows, snapshots = [], []
-    rhs = (
-        lambda W: rhs_augmented(GridField(fld.grid, fld.layout, W)),
-        lambda y: _packed(*rhs_original(*_unpacked(y, fld.grid.n), fld.grid)),
-    )
+    n = fld.grid.n
+
+    def oracle_rhs(y, out):
+        rhs_original(*_unpacked(y, n), fld.grid, _unpacked(out, n))
+        return out
+
+    # per system, the field and then the oracle when there is one: its state, right-hand
+    # side, component names and step buffers [acc, k, spare].  A step writes into the
+    # spare and the state it replaces becomes the next spare, so a failing step leaves
+    # its input intact and the RK4 sums allocate nothing
+    start = (fld.values,) + (() if oracle is None else (_packed(*oracle),))
+    rhs = (lambda W, out: rhs_augmented(GridField(fld.grid, fld.layout, W), out), oracle_rhs)
+    names = (_component_names(fld.layout), _packed_names(fld.layout.m, n))
+    buffers = [[np.empty_like(y) for _ in range(3)] for y in start]
 
     def step(state, dt):
-        # the field, then the oracle when there is one
-        return tuple(rk4_step(y, dt, f) for y, f in zip(state, rhs))
+        new = []
+        for y, f, label, buf in zip(state, rhs, names, buffers):
+            new.append(rk4_step(y, dt, f, buf[2], buf[:2], label))
+            buf[2] = y
+        return tuple(new)
 
     def after(k, t, state):
         fld.values = state[0]
@@ -500,7 +597,7 @@ def run(
             snapshots.append((t, _snapshot(fld, t)))
 
     try:
-        march((fld.values,) + (() if oracle is None else (_packed(*oracle),)), t_end, dt_max, step, after=after)
+        march(start, t_end, dt_max, step, after=after)
     except BlowUpError as exc:
         exc.rows, exc.snapshots = rows, snapshots
         raise

@@ -257,8 +257,12 @@ def test_simulate_blowup_is_reported_once_at_the_failing_step(tmp_path, capsys, 
     monkeypatch.setattr(solver, "run", spy)
     capsys.readouterr()
     assert main(["simulate", str(path)]) == 3
-    # numpy's floating-point warnings stay quiet; the blow-up line is all of stderr
-    assert capsys.readouterr().err == f"blow-up at t=0.196078; partial diagnostics written to {tmp_path / 'out'}\n"
+    # numpy's floating-point warnings stay quiet; the blow-up line is all of stderr, and it
+    # names the RK stage, the component and the grid point that first went non-finite
+    assert capsys.readouterr().err == (
+        f"blow-up at t=0.196078; partial diagnostics written to {tmp_path / 'out'}; "
+        "non-finite state in RK stage 2: tau at grid index [17]\n"
+    )
     # the time is k * dt of the failing step, one step past the last row written
     (t, dt_max), = raised
     dt = 5.0 / math.ceil(5.0 / dt_max)
@@ -278,7 +282,9 @@ def test_simulate_guard_in_a_diagnostics_row_exits_3_with_the_rows_before_it(tmp
     path.write_text(json.dumps(cfg))
     capsys.readouterr()
     assert main(["simulate", str(path)]) == 3
-    assert capsys.readouterr().err == f"blow-up at t=0.294118; partial diagnostics written to {tmp_path / 'out'}\n"
+    assert capsys.readouterr().err == (
+        f"blow-up at t=0.294118; partial diagnostics written to {tmp_path / 'out'}; |h| below 1e-12\n"
+    )
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 5.0 / 51, 10.0 / 51], rel=1e-15)
     assert sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.json")) == ["snapshot_t0.000000.json"]
@@ -624,6 +630,18 @@ def test_mcf_compare_writes_each_flow_final_row(tmp_path):
         assert len(block) == 36
         assert block[-1][0] == theta_end
         assert block[-2][0] == pytest.approx(68 * theta_end / 69, rel=1e-12)
+
+
+def test_mcf_compare_rejects_a_circle_step_past_the_collapse(tmp_path, capsys):
+    # one step of 0.4999999 from radius 1 wrote a final radius of 0.42, where the exact
+    # sqrt(1 - 2 theta) is 4.5e-4: the collapse at theta = 0.5 lies 1e-7 after theta_end
+    bundled = json.loads((CONFIG_DIR / "mcf_sine.json").read_text())
+    circle = {"radius": 1.0, "points": 16, "theta_end": 0.4999999, "step_factor": 100}
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(dict(bundled, circle=circle, output_dir=str(tmp_path / "out"))))
+    key = "config.circle.step_factor, config.circle.theta_end: steps of 0.5 are longer than the 1e-07"
+    assert_rejected(["mcf-compare", str(path)], key, capsys)
+    assert not (tmp_path / "out" / "mcf_compare.csv").exists()
 
 
 def test_mcf_compare_huge_circle_ends_on_theta_end(tmp_path):

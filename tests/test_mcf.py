@@ -227,11 +227,12 @@ def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
 def test_acceleration_blowup_reports_substep_time(monkeypatch):
     # dt is well below the CFL step, so it is split into 2 substeps of dt / 2
     real = solver.rhs_augmented
-    monkeypatch.setattr(solver, "rhs_augmented", lambda fld: real(fld) * math.nan)
+    monkeypatch.setattr(solver, "rhs_augmented", lambda fld, out: np.multiply(real(fld, out), math.nan, out=out))
     g = Grid((64,), (TWO_PI,))
     with pytest.raises(solver.BlowUpError) as info:
         acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 1e-3)
     assert info.value.t == 1e-3 / 2
+    assert info.value.reason == "non-finite state in RK stage 1: tau at grid index [0]"
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +295,12 @@ def test_graph_n2_agrees_with_explicit_steps():
 
 
 def test_large_step_factor_stays_finite_and_bounded():
-    thetas, radii = shrinking_circle_radii(256, 1.0, 0.45, 10.0)
-    assert np.all(np.isfinite(radii)) and np.all(np.diff(radii) < 0) and radii[-1] > 0
+    # two steps of 0.15 leave 0.2 to the collapse at theta = 0.5
+    thetas, radii = shrinking_circle_radii(256, 1.0, 0.3, 10.0)
+    assert len(thetas) == 3 and np.all(np.isfinite(radii)) and np.all(np.diff(radii) < 0) and radii[-1] > 0
+    # two steps of 0.225 would step past the 0.05 left at theta = 0.45 (radius 0.415 against the exact 0.316)
+    with pytest.raises(solver.ConfigError, match="circle's collapse"):
+        shrinking_circle_radii(256, 1.0, 0.45, 10.0)
     for g, m, modes in (
         (Grid((512,), (TWO_PI,)), 1, [Mode(1, (1,), 0.1, 0.0), Mode(1, (5,), 0.05, 0.0)]),
         (Grid((32, 32), (TWO_PI, TWO_PI)), 2, [Mode(1, (1, 0), 0.5, 0.0), Mode(2, (3, 2), 0.3, 0.5)]),

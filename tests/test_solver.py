@@ -76,6 +76,29 @@ def test_derivative_sawtooth_wraparound():
     assert d[0] != pytest.approx(1.0)
 
 
+def roll_derivative(values, grid, axis, out=None):
+    """The two-np.roll stencil that derivative replaced; the reference for its bytes."""
+    ax = values.ndim - grid.n + axis
+    d = (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2 * grid.spacing[axis])
+    if out is None:
+        return d
+    out[...] = d
+    return out
+
+
+@pytest.mark.parametrize("shape, sizes", [((37,), (37,)), ((11, 13), (11, 13)), ((4, 11, 13), (11, 13)), ((3, 29), (29,))])
+def test_derivative_matches_the_two_roll_stencil_bit_for_bit(shape, sizes):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    g = Grid(sizes, tuple(rng.uniform(0.5, 9.0, len(sizes))))
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    for axis in range(g.n):
+        want = roll_derivative(values, g, axis)
+        out = np.full(shape, np.nan)
+        assert np.array_equal(derivative(values, g, axis), want)
+        # into a caller's buffer, the wrap rows at both ends included
+        assert derivative(values, g, axis, out=out) is out and np.array_equal(out, want)
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 
@@ -146,25 +169,62 @@ def test_rhs_original_scalar_string_form():
 
 def test_rk4_identity_for_zero_rhs():
     y = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(rk4_step(y, 0.1, lambda u: 0.0 * u), y)
+    assert np.array_equal(rk4_step(y, 0.1, lambda u, out: np.multiply(u, 0.0, out=out)), y)
     with pytest.raises(ConfigError):
-        rk4_step(y, 0.0, lambda u: 0.0 * u)
+        rk4_step(y, 0.0, lambda u, out: np.multiply(u, 0.0, out=out))
 
 
 def test_rk4_linear_taylor_error():
     dt = 0.01
     y = np.array([1.0])
-    got = rk4_step(y, dt, lambda u: -u)[0]
+    got = rk4_step(y, dt, lambda u, out: np.negative(u, out=out))[0]
     assert abs(got - math.exp(-dt)) <= 1.1 * dt**5 / 120
 
 
 def test_rk4_is_linear_for_linear_rhs():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    f = lambda u: A @ u
+    f = lambda u, out: np.matmul(A, u, out=out)
     y1, y2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     lhs = rk4_step(2.0 * y1 + 3.0 * y2, 0.05, f)
     rhs = 2.0 * rk4_step(y1, 0.05, f) + 3.0 * rk4_step(y2, 0.05, f)
     assert np.max(np.abs(lhs - rhs)) < 1e-15
+
+
+def reference_rk4_step(y, dt, rhs, *args, **kwargs):
+    """y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) on fresh arrays: the formula rk4_step replaced."""
+
+    def f(u):
+        out = np.empty_like(u)
+        rhs(u, out)
+        return out
+
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_step_matches_the_reference_formula_with_reused_buffers():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(5, 5))
+
+    def f(u, out):
+        # nonlinear, and reads all of u after writing out, so an aliased buffer would show
+        np.matmul(A, np.sin(u) * u, out=out)
+        out -= u * u
+        return out
+
+    y = rng.normal(size=(5, 7))
+    want, got = y, y.copy()
+    acc, k, spare = (np.full_like(y, np.nan) for _ in range(3))
+    for _ in range(3):
+        want = reference_rk4_step(want, 0.07, f)
+        before = got.copy()
+        new = rk4_step(got, 0.07, f, spare, (acc, k))
+        assert new is spare and np.array_equal(got, before)
+        got, spare = new, got
+        assert np.array_equal(got, want)
 
 
 def test_march_steps_evenly_and_ends_on_t_end():
@@ -229,7 +289,84 @@ def test_rk4_blowup_detected():
     y = np.array([1e200])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError):
-            rk4_step(y, 1.0, lambda u: u * u)
+            rk4_step(y, 1.0, lambda u, out: np.multiply(u, u, out=out))
+
+
+def _poison(real, stage, index):
+    """real, except that from step 2 on, each step's given stage writes NaN at index of its output.
+
+    The output is rhs_augmented's array or rhs_original's dF.  Only evaluations into a
+    buffer count: the steps make them, and the diagnostics call rhs_augmented without one.
+    """
+    calls = []
+
+    def f(*args):
+        out = real(*args)
+        # the steps call rhs_augmented(fld, out) and rhs_original(F, D, grid, out)
+        if len(args) not in (2, 4):
+            return out
+        calls.append(1)
+        # four evaluations per step, also in the replay that locates a blow-up
+        if len(calls) > 4 and (len(calls) - 1) % 4 == stage - 1:
+            (out if isinstance(out, np.ndarray) else out[0])[index] = math.nan
+        return out
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "target, stage, index, where",
+    [
+        ("rhs_augmented", 2, (5, 3, 7), "m_[1]_[2] at grid index [3, 7]"),
+        ("rhs_augmented", 4, (0, 0, 15), "tau at grid index [0, 15]"),
+        ("rhs_augmented", 1, (3, 15, 0), "v_2 at grid index [15, 0]"),
+        ("rhs_original", 3, (0, 1, 9, 2), "F_1_2 at grid index [9, 2]"),
+    ],
+)
+def test_blowup_names_its_stage_component_and_grid_point(monkeypatch, target, stage, index, where):
+    g = Grid((16, 16), (TWO_PI, TWO_PI))
+    fld, ora, _ = initial_fields(g, 1, [Mode(1, (1, 0), 0.1, 0.0)], [Mode(1, (1, 1), 0.05, 0.3)])
+    monkeypatch.setattr(solver, target, _poison(getattr(solver, target), stage, index))
+    with pytest.raises(BlowUpError) as info:
+        run(fld, t_end=0.5, cfl=0.4, oracle=ora)
+    assert info.value.reason == f"non-finite state in RK stage {stage}: {where}"
+    # at the time of step 2
+    assert info.value.t == 0.5 / math.ceil(0.5 / cfl_dt(fld, 0.4)) * 2
+
+
+def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
+    # the stencil, the term table and the RK4 sum as they were written before the buffers
+    from branesim import flux
+
+    def reference_apply_terms(layout, W_vec, grad_vecs, out):
+        for row, coeff, deriv, axis, sign in flux._direct_terms(layout.m, layout.n):
+            out[row] -= sign * W_vec[coeff] * grad_vecs[axis - 1][deriv]
+        return out
+
+    g = Grid((16, 12), (TWO_PI, 5.0))
+    cases = [
+        (1, [Mode(1, (1, 0), 0.1, 0.0), Mode(1, (0, 1), 0.1, 0.5)], [Mode(1, (1, 1), 0.05, 0.3)], True),
+        (
+            3,
+            [Mode(1, (1, 0), 0.1, 0.0), Mode(2, (0, 1), 0.1, 0.5), Mode(3, (1, 1), 0.05, 1.0)],
+            [Mode(2, (1, 0), 0.05, 0.3)],
+            False,
+        ),
+    ]
+    for m, X, V, with_oracle in cases:
+        fld, ora, _ = initial_fields(g, m, X, V)
+        results = []
+        for patch in (False, True):
+            with monkeypatch.context() as mp:
+                if patch:
+                    mp.setattr(solver, "derivative", roll_derivative)
+                    mp.setattr(solver, "rk4_step", reference_rk4_step)
+                    mp.setattr(flux, "apply_terms", reference_apply_terms)
+                res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, oracle=ora if with_oracle else None)
+            results.append((solver.rows_to_csv(res.rows), res.field.values))
+        (csv, values), (want_csv, want_values) = results
+        assert csv == want_csv and np.array_equal(values, want_values)
+        assert (csv.split("\n")[-2].endswith(",,")) != with_oracle
 
 
 # ---------------------------------------------------------------------------
