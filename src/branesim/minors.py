@@ -35,6 +35,14 @@ def _sign(k: int):
     return -1 if k % 2 else 1
 
 
+def _index_set(s, bound: int, what: str) -> tuple[int, ...]:
+    """s as a tuple; ConfigError naming it unless it is strictly increasing within 1..bound."""
+    t = tuple(s)
+    if not all(lo < hi for lo, hi in zip((0,) + t, t + (bound + 1,))):
+        raise ConfigError(f"{what} {t} must be strictly increasing within 1..{bound}")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # layout of all (A, I) pairs
 
@@ -180,37 +188,84 @@ def _adjugate(rows) -> list[list]:
     for i in range(k):
         for j in range(k):
             sub = [[rows[p][q] for q in range(k) if q != j] for p in range(k) if p != i]
-            adj[j][i] = _sign(i + j) * _det(sub)
+            d = _det(sub)
+            adj[j][i] = -d if (i + j) % 2 else d
     return adj
 
 
 def _gram_plus_identity(rows) -> list[list]:
-    # I_n + F^T F
+    """I_n + F^T F; each entry of the symmetric matrix is formed once, and shared with its mirror."""
     m, n = _dims(rows)
-    out = [[sum(rows[a][i] * rows[a][j] for a in range(m)) for j in range(n)] for i in range(n)]
+    out = [[None] * n for _ in range(n)]
     for i in range(n):
-        out[i][i] = out[i][i] + 1
+        for j in range(i, n):
+            acc = rows[0][i] * rows[0][j]
+            for a in range(1, m):
+                acc = acc + rows[a][i] * rows[a][j]
+            out[i][j] = out[j][i] = acc + 1 if i == j else acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-layout term tables of the minor sums
+#
+# Each entry names an output cell (row r, column c as r n + c), the slots of the
+# minors whose product is the term, and whether it enters with a minus sign.  Only
+# the minor-sum side reads these; the determinant side never does.
+
+
+@lru_cache(maxsize=None)
+def _xi_prime_table(layout: MinorLayout) -> tuple:
+    """(cell, slot, rest, minus) per term m_{A,I} m_{A\\a, I\\i} of xi'_{ai}; rest is None when A\\a is empty."""
+    n = layout.n
+    out = []
+    for slot, (A, I) in enumerate(layout._raw):
+        for alpha in A:
+            arest = tuple(x for x in A if x != alpha)
+            for i in I:
+                irest = tuple(x for x in I if x != i)
+                rest = layout.index_of[(arest, irest)] if arest else None
+                minus = (_rank(A, alpha) + _rank(I, i)) % 2 == 1
+                out.append(((alpha - 1) * n + i - 1, slot, rest, minus))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _z_table(layout: MinorLayout) -> tuple:
+    """(cell, slot, swap, minus) per swap product m_{A,(I\\j) u i} m_{A,I} taken off Z_ij; minus for sign +1."""
+    n = layout.n
+    out = []
+    for slot, (A, I) in enumerate(layout._raw):
+        for j in I:
+            irest = tuple(x for x in I if x != j)
+            for i in range(1, n + 1):
+                if i in irest:
+                    continue
+                swap = layout.index_of[(A, tuple(sorted(irest + (i,))))]
+                minus = (_rank(I, j) + _rank(irest, i)) % 2 == 0
+                out.append(((i - 1) * n + j - 1, slot, swap, minus))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
+def _submatrix(rows, A, I) -> list[list]:
+    return [[rows[p - 1][q - 1] for q in I] for p in A]
+
+
 def minor(F, A, I):
-    """Determinant of the submatrix with rows A and columns I; 1 if both empty."""
+    """Determinant of the submatrix with rows A and columns I; 1 if both empty.
+
+    A and I are strictly increasing index sets within 1..m and 1..n.
+    """
     rows = _rows(F)
     m, n = _dims(rows)
-    a, i = tuple(A), tuple(I)
+    a, i = _index_set(A, m, "row set"), _index_set(I, n, "column set")
     if len(a) != len(i):
         raise ConfigError(f"row and column sets must have equal size, got {a} vs {i}")
-    if a and (a[0] < 1 or a[-1] > m):
-        raise ConfigError(f"row set {a} out of range for {m} rows")
-    if i and (i[0] < 1 or i[-1] > n):
-        raise ConfigError(f"column set {i} out of range for {n} columns")
-    if not a:
-        return 1
-    return _det([[rows[p - 1][q - 1] for q in i] for p in a])
+    return _det(_submatrix(rows, a, i))
 
 
 def all_minors(F, layout: MinorLayout) -> list:
@@ -219,10 +274,7 @@ def all_minors(F, layout: MinorLayout) -> list:
     m, n = _dims(rows)
     if (m, n) != (layout.m, layout.n):
         raise ConfigError(f"matrix is {m}x{n} but layout is {layout.m}x{layout.n}")
-    out = []
-    for A, I in layout._raw:
-        out.append(_det([[rows[p - 1][q - 1] for q in I] for p in A]))
-    return out
+    return [_det(_submatrix(rows, A, I)) for A, I in layout._raw]
 
 
 def cauchy_binet_check(M, N, I, J):
@@ -233,7 +285,7 @@ def cauchy_binet_check(M, N, I, J):
     l2, n = _dims(nr)
     if l != l2:
         raise ConfigError(f"inner dimensions differ: {l} vs {l2}")
-    iset, jset = tuple(I), tuple(J)
+    iset, jset = _index_set(I, m, "row set"), _index_set(J, n, "column set")
     k = len(iset)
     if len(jset) != k:
         raise ConfigError("row and column subsets must have equal size")
@@ -243,9 +295,7 @@ def cauchy_binet_check(M, N, I, J):
     lhs = minor(prod, iset, jset)
     rhs = 0
     for K in combinations(range(1, l + 1), k):
-        rhs = rhs + minor(mr, iset, K) * minor(nr, K, jset)
-    if k == 0:
-        rhs = 1
+        rhs = rhs + _det(_submatrix(mr, iset, K)) * _det(_submatrix(nr, K, jset))
     return lhs, rhs
 
 
@@ -277,24 +327,15 @@ def xi_prime(F):
 
 
 def xi_prime_minor_sum(minors_vec, layout: MinorLayout):
-    """xi' assembled from minors alone, with signs (-1)^{O_A(a)+O_I(i)}."""
+    """xi' assembled from minors alone: sum of (-1)^{O_A(a)+O_I(i)} m_{A,I} m_{A\\a,I\\i} over A, I."""
     if len(minors_vec) != layout.minor_count:
         raise ConfigError("minor vector length does not match layout")
-
-    def val(a, i):
-        return 1 if not a else minors_vec[layout.index_of[(a, i)]]
-
-    out = [[0] * layout.n for _ in range(layout.m)]
-    for idx, (A, I) in enumerate(layout._raw):
-        v = minors_vec[idx]
-        for alpha in A:
-            sa = _rank(A, alpha)
-            arest = tuple(x for x in A if x != alpha)
-            for i in I:
-                s = _sign(sa + _rank(I, i))
-                irest = tuple(x for x in I if x != i)
-                out[alpha - 1][i - 1] = out[alpha - 1][i - 1] + s * v * val(arest, irest)
-    return out
+    out = [0] * (layout.m * layout.n)
+    for cell, slot, rest, minus in _xi_prime_table(layout):
+        term = minors_vec[slot] if rest is None else minors_vec[slot] * minors_vec[rest]
+        out[cell] = out[cell] - term if minus else out[cell] + term
+    n = layout.n
+    return [out[r * n : r * n + n] for r in range(layout.m)]
 
 
 def z_matrix(F):
@@ -308,31 +349,23 @@ def z_minor_sum(minors_vec, layout: MinorLayout):
         raise ConfigError("minor vector length does not match layout")
     n = layout.n
     s2 = xi_minor_sum(minors_vec)
-    out = [[s2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for idx, (A, I) in enumerate(layout._raw):
-        v = minors_vec[idx]
-        for j in I:
-            irest = tuple(x for x in I if x != j)
-            sj = _rank(I, j)
-            for i in range(1, n + 1):
-                if i in irest:
-                    continue
-                swapped = tuple(sorted(irest + (i,)))
-                s = _sign(sj + _rank(irest, i))
-                term = s * minors_vec[layout.index_of[(A, swapped)]] * v
-                out[i - 1][j - 1] = out[i - 1][j - 1] - term
-    return out
+    out = [0 if c % (n + 1) else s2 for c in range(n * n)]
+    for cell, slot, swap, minus in _z_table(layout):
+        term = minors_vec[swap] * minors_vec[slot]
+        out[cell] = out[cell] - term if minus else out[cell] + term
+    return [out[r * n : r * n + n] for r in range(n)]
 
 
 def laplace_mixed(F, A, I, q: int, j: int):
     """Mixed Laplace sum sum_p (-1)^{p+q} [F]_{A\\{a_p}, I\\{i_q}} F_{a_p j}.
 
     Equals 0 when j lies in I\\{i_q}, and otherwise a signed minor with column
-    i_q replaced by j; the contract is exercised by the tests.
+    i_q replaced by j; the contract is exercised by the tests.  A and I are
+    strictly increasing index sets within 1..m and 1..n.
     """
     rows = _rows(F)
     m, n = _dims(rows)
-    a, iset = tuple(A), tuple(I)
+    a, iset = _index_set(A, m, "row set"), _index_set(I, n, "column set")
     k = len(a)
     if k != len(iset) or k < 1:
         raise ConfigError("need |A| = |I| >= 1")
@@ -340,11 +373,10 @@ def laplace_mixed(F, A, I, q: int, j: int):
         raise ConfigError(f"position q={q} out of range 1..{k}")
     if not 1 <= j <= n:
         raise ConfigError(f"column j={j} out of range 1..{n}")
-    if a[-1] > m or iset[-1] > n:
-        raise ConfigError("index set out of matrix range")
-    icut = tuple(x for x in iset if x != iset[q - 1])
+    # rows A of the columns I \ {i_q}; dropping row p of it leaves the p-th sub-minor
+    sub = _submatrix(rows, a, iset[: q - 1] + iset[q:])
     out = 0
     for p in range(1, k + 1):
-        acut = tuple(x for x in a if x != a[p - 1])
-        out = out + _sign(p + q) * minor(rows, acut, icut) * rows[a[p - 1] - 1][j - 1]
+        term = _det(sub[: p - 1] + sub[p:]) * rows[a[p - 1] - 1][j - 1]
+        out = out - term if (p + q) % 2 else out + term
     return out

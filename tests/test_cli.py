@@ -107,7 +107,16 @@ def test_verify_report_bytes_are_pinned():
     assert hashlib.sha256(doc.encode()).hexdigest() == "13efdac10f966740feeca9a89e0b0651bbeff3c10aaf725e1770d36ab626f319"
 
 
-@pytest.mark.parametrize("fault", ["laplace_mixed", "cauchy_binet_check"])
+# the identity each planted fault breaks, by the minors function it is planted in
+PLANTED = {
+    "laplace_mixed": "laplace_mixed",
+    "cauchy_binet_check": "cauchy_binet",
+    "xi_prime_minor_sum": "xi_prime",
+    "z_minor_sum": "z_matrix",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
 def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
     draws = []
     real_draw = cli._rand_matrix
@@ -120,7 +129,12 @@ def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
 
     def planted(*args):
         out = real(*args)
-        return out + 1 if fault == "laplace_mixed" else (out[0], out[1] + 1)
+        if fault == "laplace_mixed":
+            return out + 1
+        if fault == "cauchy_binet_check":
+            return out[0], out[1] + 1
+        out[0][0] = out[0][0] + 1
+        return out
 
     monkeypatch.setattr(cli, "_rand_matrix", spy)
     monkeypatch.setattr(minors, fault, planted)
@@ -130,14 +144,37 @@ def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
         return [[str(x) for x in row] for row in F]
 
     # each sample draws F, then M and N
-    if fault == "laplace_mixed":
-        name, want = "laplace_mixed", [strs(F) for F in draws[0::3]]
+    name = PLANTED[fault]
+    if fault == "cauchy_binet_check":
+        want = [{"M": strs(M), "N": strs(N)} for M, N in zip(draws[1::3], draws[2::3])]
     else:
-        name, want = "cauchy_binet", [{"M": strs(M), "N": strs(N)} for M, N in zip(draws[1::3], draws[2::3])]
+        want = [strs(F) for F in draws[0::3]]
     assert report.passes[name] == {"pass": 0, "fail": 8}
     assert [f["input"] for f in report.failures] == want
     # some draws are not integers, so payloads of the cleared matrices would differ
     assert any(x.denominator > 1 for F in draws for row in F for x in row)
+
+
+@pytest.mark.parametrize("table, identity", [("_xi_prime_table", "xi_prime"), ("_z_table", "z_matrix")])
+def test_a_flipped_sign_in_a_minor_sum_table_fails_its_identity(monkeypatch, table, identity):
+    real = getattr(minors, table)
+
+    def flipped(layout):
+        # the last term of the layout, a product of two minors on every shape but 1x1
+        *head, (cell, slot, other, minus) = real(layout)
+        return (*head, (cell, slot, other, not minus))
+
+    monkeypatch.setattr(minors, table, flipped)
+    report = cmd_verify(shapes=[(2, 2), (3, 2)], samples=4, seed=5)
+    assert report.passes[identity]["fail"] > 0
+    assert all(v["fail"] == 0 for k, v in report.passes.items() if k != identity)
+
+
+def test_verify_passes_on_shapes_past_the_defaults():
+    # 4x4 minors take the Bareiss determinant, and both shapes need tables of their own
+    report = cmd_verify(shapes=[(4, 4), (5, 3)], samples=2)
+    assert report.all_passed()
+    assert all(v == {"pass": 4, "fail": 0} for v in report.passes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Fr
 from math import comb
 
@@ -114,6 +115,31 @@ def test_minor_examples():
         minor(F, (1, 2), (1,))
     with pytest.raises(ConfigError):
         minor(F, (3,), (1,))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: laplace_mixed([[1, 2], [3, 4]], (0,), (1,), 1, 1), "row set (0,)"),
+        (lambda: laplace_mixed([[1, 2], [3, 4]], (1,), (0,), 1, 1), "column set (0,)"),
+        (lambda: minor([[1, 2], [3, 4], [5, 6]], (3, 1), (1, 2)), "row set (3, 1)"),
+        (lambda: minor([[1, 2], [3, 4], [5, 6]], (1, 1), (1, 2)), "row set (1, 1)"),
+        (lambda: cauchy_binet_check([[1, 2], [3, 4]], [[1, 0], [0, 1]], (2, 1), (1, 2)), "row set (2, 1)"),
+        (lambda: cauchy_binet_check([[1, 2]], [[3], [4]], (1,), (2,)), "column set (2,)"),
+    ],
+    ids=[
+        "laplace_row_0",
+        "laplace_column_0",
+        "minor_unsorted_rows",
+        "minor_repeated_row",
+        "cb_unsorted_rows",
+        "cb_column_past_n",
+    ],
+)
+def test_index_sets_must_increase_strictly_within_range(call, named):
+    # all but the last used to return a number: row 0 wrapped to the last row, and only a set's ends were checked
+    with pytest.raises(ConfigError, match=re.escape(f"{named} must be strictly increasing within 1..")):
+        call()
 
 
 def test_all_minors_examples():

@@ -296,7 +296,8 @@ def _poison(real, stage, index):
     """real, except that from step 2 on, each step's given stage writes NaN at index of its output.
 
     The output is rhs_augmented's array or rhs_original's dF.  Only evaluations into a
-    buffer count: the steps make them, and the diagnostics call rhs_augmented without one.
+    buffer count.  A diagnostics row evaluates d_t W into the field's acc and the step
+    after it takes that as its first stage, so each step still counts four.
     """
     calls = []
 
@@ -332,6 +333,35 @@ def test_blowup_names_its_stage_component_and_grid_point(monkeypatch, target, st
     assert info.value.reason == f"non-finite state in RK stage {stage}: {where}"
     # at the time of step 2
     assert info.value.t == 0.5 / math.ceil(0.5 / cfl_dt(fld, 0.4)) * 2
+
+
+def test_blowup_right_after_a_row_replays_every_stage(monkeypatch):
+    # a row at every step: step 2 takes its first slope from the row at step 1, while the
+    # replay that locates the blow-up evaluates all four stages on fresh buffers
+    g = Grid((16, 16), (TWO_PI, TWO_PI))
+    fld, ora, _ = initial_fields(g, 1, [Mode(1, (1, 0), 0.1, 0.0)], [Mode(1, (1, 1), 0.05, 0.3)])
+    monkeypatch.setattr(solver, "rhs_augmented", _poison(solver.rhs_augmented, 2, (5, 3, 7)))
+    with pytest.raises(BlowUpError) as info:
+        run(fld, t_end=0.5, cfl=0.4, oracle=ora, output_cadence=1e-9)
+    assert info.value.reason == "non-finite state in RK stage 2: m_[1]_[2] at grid index [3, 7]"
+    assert len(info.value.rows) == 2
+
+
+def test_run_evaluates_the_slope_of_a_row_once(monkeypatch):
+    calls = []
+    real = solver.rhs_augmented
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    g = Grid((64,), (TWO_PI,))
+    fld, _, _ = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (2,), 0.05, 0.3)])
+    monkeypatch.setattr(solver, "rhs_augmented", counted)
+    res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1)
+    assert len(res.rows) == 4 and res.steps > 4
+    # four stages a step and one evaluation a row; each row but the last is the next step's first stage
+    assert len(calls) == 4 * res.steps + 1
 
 
 def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
@@ -559,6 +589,22 @@ def test_snapshot_json_matches_reference(m, sizes):
     fld, _, _ = initial_fields(g, m, x, [Mode(1, wave, 0.05, 0.7)])
     snap = solver._snapshot(fld, 0.125)
     assert solver.snapshot_to_json(snap) == reference_snapshot_json(snap)
+
+
+def test_snapshot_json_holds_at_most_two_copies_of_its_text():
+    import tracemalloc
+
+    g = Grid((64, 64), (TWO_PI, TWO_PI))
+    fld, _, _ = initial_fields(g, 3, [Mode(1, (1, 1), 0.1, 0.3)], [Mode(2, (1, 0), 0.05, 0.7)])
+    snap = solver._snapshot(fld, 0.125)
+    tracemalloc.start()
+    try:
+        text = solver.snapshot_to_json(snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values block and the text joined from it; chained + on the block made a third copy
+    assert peak < 2.5 * len(text)
 
 
 def test_snapshot_json_special_floats_match_reference():
