@@ -75,6 +75,15 @@ def _integer(x, where: str, lo: int | None = None, hi: int | None = None) -> int
     return x
 
 
+@contextmanager
+def _naming(keys: str):
+    """Prefix a ConfigError with the config keys behind it, such as those that size a march (solver.plan_steps)."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _parse_modes(items, m: int, n: int, where: str) -> list[Mode]:
     if not isinstance(items, list):
         raise ConfigError(f"{where}: expected a list of modes")
@@ -119,10 +128,10 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
         raise ConfigError(f"config.grid.sizes: expected {n} entries")
     if not isinstance(lengths, list) or len(lengths) != n:
         raise ConfigError(f"config.grid.lengths: expected {n} entries")
-    grid = Grid(
-        tuple(_integer(s, "config.grid.sizes", 8) for s in sizes),
-        tuple(_positive(x, "config.grid.lengths") for x in lengths),
-    )
+    sizes = tuple(_integer(s, "config.grid.sizes", 8) for s in sizes)
+    lengths = tuple(_positive(x, "config.grid.lengths") for x in lengths)
+    with _naming("config.grid.sizes"):  # the lengths are checked, so only the point budget remains
+        grid = Grid(sizes, lengths)
     scheme = data.get("scheme", {})
     _require_keys(scheme, {"stencil_order": False, "cfl": False, **scheme_keys}, "config.scheme")
     # accepted as 2 only, the value existing configs send
@@ -344,15 +353,6 @@ def cmd_verify(shapes=DEFAULT_VERIFY_SHAPES, samples: int = 200, seed: int = 0) 
 # simulate
 
 
-@contextmanager
-def _naming(keys: str):
-    """Prefix a ConfigError with the config keys behind it, such as those that size a march (solver.plan_steps)."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{keys}: {exc}") from None
-
-
 def _output_dir(flag: str | None, configured: str) -> Path:
     """The --output-dir flag, else config.output_dir; created before the run, so a bad path exits 2 early."""
     out_dir = Path(flag or configured)
@@ -374,10 +374,15 @@ def _write_run(out_dir: Path, rows, snapshots):
         (out_dir / name).write_text(solver.snapshot_to_json(snap))
 
 
+def initial_data(grid: Grid, m: int, x_modes, v_modes):
+    """solver.initial_fields, its ConfigError named config.initial_data; both commands check their data with it."""
+    with _naming("config.initial_data"):
+        return solver.initial_fields(grid, m, x_modes, v_modes)
+
+
 def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
-    with _naming("config.initial_data"):
-        fld, oracle, _ = solver.initial_fields(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
+    fld, oracle, _ = initial_data(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
     out_dir = _output_dir(output_dir, cfg.output_dir)
     try:
         with _naming("config.scheme.cfl, config.t_end"):
@@ -479,7 +484,7 @@ def parse_mcf_config(data: dict) -> dict:
         _require_keys(c, {"radius": True, "points": True, "theta_end": True, "step_factor": False}, "config.circle")
         cfg["circle"] = {
             "radius": _positive(c["radius"], "config.circle.radius"),
-            "points": _integer(c["points"], "config.circle.points", 8),
+            "points": _integer(c["points"], "config.circle.points", 8, solver.MAX_POINTS),
             "theta_end": _positive(c["theta_end"], "config.circle.theta_end"),
             "step_factor": _positive(c.get("step_factor", 0.1), "config.circle.step_factor"),
         }
@@ -521,10 +526,10 @@ def _sampled_rows(count: int) -> list[int]:
 def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_mcf_config(load_json(config_path))
     grid = cfg["grid"]
+    _, _, u0 = initial_data(grid, cfg["m"], cfg["x_modes"], cfg["v_modes"])
     out_dir = _output_dir(output_dir, cfg["output_dir"])
     lines = ["t,err_acceleration_Linf,tangency_residual,radius_or_amplitude"]
 
-    u0, _ = solver.fourier_series(cfg["x_modes"], grid, cfg["m"])
     E0 = mcf.EmbeddingField.from_graph(grid, u0)
     tan0 = mcf.tangency_residual(E0)
     amp0 = float(np.max(np.abs(u0)))

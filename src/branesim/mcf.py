@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver as _solver
+from .minors import _adjugate, _det
 from .solver import BlowUpError, ConfigError, Grid, GridField, derivative, fourier_series, initial_fields
 
 
@@ -79,23 +80,16 @@ class EmbeddingField:
 
 
 def _metric_from_gradients(dX: np.ndarray):
-    n = dX.shape[1]
+    """(g_ij, det g, g^ij) per point of dX (ncomp, n, *sizes); BlowUpError if det g <= 0 anywhere.
+
+    det g and the adjugate behind g^-1 = adj g / det g come from ``minors``, whose
+    determinant side ``verify`` checks exactly.
+    """
     g = np.einsum("ci...,cj...->ij...", dX, dX)
-    if n == 1:
-        detg = g[0, 0]
-    elif n == 2:
-        detg = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-    else:
-        raise ConfigError("induced metric supports n = 1 and n = 2 only")
+    detg = _det(g)
     if np.min(detg) <= 0.0:
         raise BlowUpError(float("nan"), f"min det g = {np.min(detg):.6g}")
-    if n == 1:
-        return g, detg, (1.0 / detg)[None, None]
-    ginv = np.empty_like(g)
-    ginv[0, 0] = g[1, 1] / detg
-    ginv[1, 1] = g[0, 0] / detg
-    ginv[0, 1] = ginv[1, 0] = -g[0, 1] / detg
-    return g, detg, ginv
+    return g, detg, np.array(_adjugate(g)) / detg
 
 
 def induced_metric(E: EmbeddingField):
@@ -103,9 +97,12 @@ def induced_metric(E: EmbeddingField):
     return _metric_from_gradients(E.gradients())
 
 
-def _divergence(dX: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X) from dX, shape (ncomp, *sizes)."""
-    g, detg, ginv = _metric_from_gradients(dX)
+def _divergence(dX: np.ndarray, grid: Grid, metric=None) -> np.ndarray:
+    """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X) from dX, shape (ncomp, *sizes).
+
+    ``metric`` is _metric_from_gradients(dX) when the caller already has it.
+    """
+    _, detg, ginv = _metric_from_gradients(dX) if metric is None else metric
     sq = np.sqrt(detg)
     vel = np.zeros((dX.shape[0], *grid.sizes))
     for i in range(grid.n):
@@ -122,7 +119,7 @@ def mcf_velocity(E: EmbeddingField) -> np.ndarray:
 def tangency_residual(E: EmbeddingField) -> float:
     """Linf over points and directions of <mcf velocity, d_i X>."""
     dX = E.gradients()
-    vel = mcf_velocity(E)
+    vel = _divergence(dX, E.grid)
     worst = 0.0
     for i in range(E.grid.n):
         worst = max(worst, float(np.max(np.abs(np.einsum("c...,c...->...", vel, dX[:, i])))))
@@ -141,11 +138,13 @@ def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
 
     which is explicit midpoint plus an O(dtheta^3) stabilisation that damps
     every mode the stencil sees (Chen & Shen, Comput. Phys. Commun. 108, 1998).
-    Both solves are diagonal in rfftn over the grid axes.
+    Both solves are diagonal in rfftn over the grid axes; c and V(X) share one
+    evaluation of the gradients and the metric of X.
     """
     grid = E.grid
-    _, _, ginv = induced_metric(E)
-    c = float(np.max(np.einsum("ii...->...", ginv)))
+    dX = E.gradients()
+    metric = _metric_from_gradients(dX)
+    c = float(np.max(np.einsum("ii...->...", metric[2])))
     lap = 0.0
     for j, (size, dx) in enumerate(zip(grid.sizes, grid.spacing)):
         freq = np.fft.rfftfreq(size) if j == grid.n - 1 else np.fft.fftfreq(size)
@@ -153,7 +152,7 @@ def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
     stiff = dtheta * c * lap
     solve = 1.0 / (1.0 - 0.5 * stiff)
     axes = tuple(range(1, 1 + grid.n))
-    half = np.fft.rfftn(0.5 * dtheta * mcf_velocity(E), axes=axes) * solve
+    half = np.fft.rfftn(0.5 * dtheta * _divergence(dX, grid, metric), axes=axes) * solve
     Y = EmbeddingField(grid, E.X + np.fft.irfftn(half, grid.sizes, axes=axes), E.linear)
     full = (np.fft.rfftn(dtheta * mcf_velocity(Y), axes=axes) - stiff * half) * solve
     Xn = E.X + np.fft.irfftn(full, grid.sizes, axes=axes)

@@ -5,7 +5,9 @@ Two evolutions share only the grid and stencil code:
 * the augmented path evolves the primitive field W with the symmetric-system
   right-hand side;
 * the oracle path evolves the original graph unknowns (F, D), with xi and its
-  gradient computed through determinants and adjugates, never minors.
+  gradient from ``minors.xi`` and ``minors.xi_prime``: the determinant and
+  adjugate of I + F^T F, which ``verify`` checks against the minor sums, and
+  never the minors themselves.
 
 Diagnostics track the energy, the entropy-law residual, the constraint
 residuals, sigma (the lifted integrability constraint), and the
@@ -22,8 +24,9 @@ from itertools import combinations
 import numpy as np
 
 from . import flux as _flux
-from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout
+from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout, xi, xi_prime
 from .state import (
+    EPS_SINGULAR,
     BlowUpError,
     GraphData,
     PrimitiveState,
@@ -40,9 +43,14 @@ from .state import (
 # grid and fields
 
 
+# the most points one grid holds (1024^2): a run's peak arrays, about ten full states
+# of at most 15 rows (m = 3, n = 2), then take about 1.2 GiB; MAX_STEPS bounds the steps
+MAX_POINTS = 2**20
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid in 1 or 2 spatial dimensions."""
+    """Uniform periodic grid in 1 or 2 spatial dimensions, of at most MAX_POINTS points."""
 
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
@@ -56,6 +64,8 @@ class Grid:
             raise ConfigError("only 1 or 2 spatial dimensions are supported")
         if any(s < 8 for s in self.sizes):
             raise ConfigError("grids need at least 8 points per axis")
+        if math.prod(self.sizes) > MAX_POINTS:
+            raise ConfigError(f"a grid of {math.prod(self.sizes)} points exceeds the budget of {MAX_POINTS}")
         if any(not math.isfinite(x) or x <= 0 for x in self.lengths):
             raise ConfigError("domain lengths must be positive and finite")
 
@@ -149,30 +159,6 @@ def rhs_augmented(fld: GridField, out: np.ndarray | None = None) -> np.ndarray:
     return _flux.apply_terms(fld.layout, fld.values, grads, out)
 
 
-def _xi_and_xi_prime(F: np.ndarray):
-    """xi and its half-gradient through determinant/adjugate closed forms.
-
-    F has shape (m, n, ...); supports n = 1 and n = 2.  This is the oracle
-    path, deliberately disjoint from the minor bookkeeping.
-    """
-    n = F.shape[1]
-    if n == 1:
-        xi = 1.0 + np.sum(F[:, 0] ** 2, axis=0)
-        return xi, F.copy()
-    if n == 2:
-        a = np.sum(F[:, 0] * F[:, 0], axis=0)
-        b = np.sum(F[:, 0] * F[:, 1], axis=0)
-        c = np.sum(F[:, 1] * F[:, 1], axis=0)
-        xi = (1.0 + a) * (1.0 + c) - b * b
-        # adjugate of I + F^T F
-        z00, z01, z11 = 1.0 + c, -b, 1.0 + a
-        xp = np.empty_like(F)
-        xp[:, 0] = F[:, 0] * z00 + F[:, 1] * z01
-        xp[:, 1] = F[:, 0] * z01 + F[:, 1] * z11
-        return xi, xp
-    raise ConfigError("oracle closed forms cover n = 1 and n = 2 only")
-
-
 def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
     """d_t (F, D) of the original graph system on the grid.
 
@@ -183,15 +169,15 @@ def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
     if n != grid.n:
         raise ConfigError("F shape does not match grid dimension")
     P = np.einsum("ai...,a...->i...", F, D)
-    xi, xp = _xi_and_xi_prime(F)
-    h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi)
+    xp = xi_prime(F)
+    h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi(F))
     dF, dD = (np.empty_like(F), np.empty_like(D)) if out is None else out
     dD.fill(0.0)
     for alpha in range(m):
         base = D[alpha] + np.einsum("j...,j...->...", F[alpha], P)
         for i in range(n):
             np.negative(derivative(base / h, grid, i, out=dF[alpha, i]), out=dF[alpha, i])
-            dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha, i]) / h, grid, i)
+            dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha][i]) / h, grid, i)
     return dF, dD
 
 
@@ -336,7 +322,12 @@ def fourier_series(modes, grid: Grid, m: int):
             raise ConfigError(f"mode component {mode.component} out of range 1..{m}")
         if len(mode.wave) != grid.n:
             raise ConfigError("mode wave vector length must equal the grid dimension")
-        k = np.array([2 * np.pi * w / L for w, L in zip(mode.wave, grid.lengths)])
+        try:
+            k = np.array([2 * np.pi * w / L for w, L in zip(mode.wave, grid.lengths)])
+        except OverflowError:  # a wave number past the float range
+            k = np.full(grid.n, np.inf)
+        if not np.all(np.isfinite(k)):
+            raise ConfigError(f"wave vector of component {mode.component} too large: 2 pi k / L overflows")
         theta = mode.phase + np.einsum("j,j...->...", k, coords)
         a = mode.component - 1
         u[a] += mode.amplitude * np.sin(theta)
@@ -348,8 +339,9 @@ def fourier_series(modes, grid: Grid, m: int):
 def graph_momentum(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     """D = h (I + F F^T)^{-1} V with h eliminated in closed form.
 
-    Rejects data that is not comfortably time-like, i.e. whenever
-    1 - V^T (I + F F^T)^{-1} V < TIMELIKE_MARGIN anywhere.
+    Rejects data that is not comfortably time-like, i.e. unless
+    1 - V^T (I + F F^T)^{-1} V >= TIMELIKE_MARGIN everywhere (so NaN is
+    rejected too), and F whose I + F F^T overflows.
     """
     m = F.shape[0]
     npts = int(np.prod(F.shape[2:])) if F.ndim > 2 else 1
@@ -357,18 +349,20 @@ def graph_momentum(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     Fr = F.reshape(m, F.shape[1], npts)
     Vr = V.reshape(m, npts)
     zeta = np.einsum("aip,bip->pab", Fr, Fr) + np.eye(m)
+    if not np.all(np.isfinite(zeta)):
+        raise ConfigError("initial height gradients too large: I + F F^T overflows")
     W = np.linalg.solve(zeta, Vr.T[..., None])[..., 0]  # (npts, m)
     q = np.einsum("pa,ap->p", W, Vr)
     slack = 1.0 - q
-    if np.min(slack) < TIMELIKE_MARGIN:
+    if not np.min(slack) >= TIMELIKE_MARGIN:
         raise ConfigError(
-            f"initial data is not time-like enough: min(1 - V zeta^-1 V) = {np.min(slack):.6g} < {TIMELIKE_MARGIN}"
+            "initial data is not time-like enough: "
+            f"min(1 - V zeta^-1 V) = {np.min(slack):.6g} is not >= {TIMELIKE_MARGIN}"
         )
-    # xi = det(I_n + F^T F) pointwise
+    # det(I_n + F^T F) pointwise
     n = F.shape[1]
     FtF = np.einsum("aip,ajp->pij", Fr, Fr)
-    xi = np.linalg.det(np.eye(n) + FtF)
-    h = np.sqrt(xi) / np.sqrt(slack)
+    h = np.sqrt(np.linalg.det(np.eye(n) + FtF)) / np.sqrt(slack)
     D = (h[:, None] * W).T
     return D.reshape(m, *shape) if shape else D[:, 0]
 
@@ -378,12 +372,19 @@ def initial_fields(grid: Grid, m: int, x_modes, v_modes):
 
     F comes from analytic differentiation and D from the velocity relation,
     so the lifted field sits on the constraint manifold up to rounding.
+    ConfigError when the data is not time-like enough (graph_momentum) or too
+    large: when the heights are not finite, or tau = 1/h is not above the
+    EPS_SINGULAR the runs guard, where h = sqrt(1 + |D|^2 + |F^T D|^2 + sum of
+    squared minors) bounds every other value of W times 1/tau.
     """
     layout = enumerate_layout(m, grid.n)
-    u, F = fourier_series(x_modes, grid, m)
-    V, _ = fourier_series(v_modes, grid, m)
-    D = graph_momentum(F, V)
-    W = to_primitive(lift(GraphData(F, D), layout))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, F = fourier_series(x_modes, grid, m)
+        V, _ = fourier_series(v_modes, grid, m)
+        D = graph_momentum(F, V)
+        W = to_primitive(lift(GraphData(F, D), layout))
+    if not (np.all(np.isfinite(u)) and np.min(W.tau) > EPS_SINGULAR):
+        raise ConfigError(f"initial data too large: the heights overflow, or tau = 1/h is not above {EPS_SINGULAR}")
     return GridField(grid, layout, W.as_vector()), (F.copy(), np.asarray(D, dtype=float).copy()), u
 
 

@@ -592,6 +592,65 @@ def test_mcf_compare_validation_messages(tmp_path, capsys):
         assert_rejected(["mcf-compare", str(path)], key, capsys)
 
 
+def _bundled_with(tmp_path, name, path, value):
+    """The bundled config ``name`` with the value at the key path ``path`` replaced, written to tmp_path."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cfg["output_dir"] = str(tmp_path / "out")
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(cfg))
+    return out
+
+
+SIM, MCF = ("simulate", "string_n1.json"), ("mcf-compare", "mcf_sine.json")
+X0 = ("initial_data", "X_modes", 0)
+GRADIENTS = "config.initial_data: initial height gradients too large"
+WAVE = "config.initial_data: wave vector of component 1 too large"
+
+
+@pytest.mark.parametrize(
+    "command, name, path, value, key",
+    [
+        # heights whose gradients square past the float range: NaN used to pass the time-like check
+        pytest.param(*SIM, X0 + ("amplitude",), 1e300, GRADIENTS, id="x-amplitude-1e300"),
+        pytest.param(*SIM, X0 + ("amplitude",), 1e160, GRADIENTS, id="x-amplitude-1e160"),
+        pytest.param(*SIM, ("grid", "lengths"), [1e-300], GRADIENTS, id="length-1e-300"),
+        # finite, but tau = 1/h = 1e-100 used to exit 3 at the t = 0 row
+        pytest.param(*SIM, X0 + ("amplitude",), 1e100, "config.initial_data: initial data too large", id="x-amp-1e100"),
+        # it used to blame config.dt_values, config.scheme.cfl
+        pytest.param(*MCF, X0 + ("amplitude",), 1e300, GRADIENTS, id="mcf-amplitude-1e300"),
+        # a wave number past the float range used to raise OverflowError
+        pytest.param(*SIM, X0 + ("wave",), [10**400], WAVE, id="x-wave-1e400"),
+        pytest.param(*SIM, ("initial_data", "V_modes", 0, "wave"), [10**400], WAVE, id="v-wave-1e400"),
+        pytest.param(*MCF, X0 + ("wave",), [10**400], WAVE, id="mcf-wave-1e400"),
+        # grids past solver.MAX_POINTS are rejected before anything is allocated
+        pytest.param(*SIM, ("grid", "sizes"), [1e15], "config.grid.sizes: a grid of 10" + "0" * 14, id="sizes-1e15"),
+        pytest.param(*MCF, ("grid", "sizes"), [1e15], "config.grid.sizes: a grid of", id="mcf-sizes-1e15"),
+        pytest.param(
+            "simulate", "membrane_n2.json", ("grid", "sizes"), [1025, 1024], "config.grid.sizes: a grid of 1049600",
+            id="sizes-past-budget",
+        ),
+        pytest.param(*MCF, ("circle", "points"), 10**15, "config.circle.points: must lie in [8, 1048576]", id="points"),
+    ],
+)
+def test_overflowing_or_oversized_input_exits_2_naming_its_key(tmp_path, capsys, command, name, path, value, key):
+    # one line on stderr: no traceback and no RuntimeWarning (pytest would raise the warning)
+    capsys.readouterr()
+    assert main([command, str(_bundled_with(tmp_path, name, path, value))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + key) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_point_budget_holds_a_1024_square_and_nothing_more():
+    assert solver.Grid((1024, 1024), (1.0, 1.0)).sizes == (1024, 1024)
+    with pytest.raises(ConfigError, match="a grid of 1048577 points exceeds the budget of 1048576"):
+        solver.Grid((2**20 + 1,), (1.0,))
+
+
 def test_uncreatable_output_dir_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "a_file"
     blocker.write_text("")

@@ -3,8 +3,9 @@
 The inputs are edits of the bundled configs: a value replaced (wrong type,
 fractional integer, zero, negative, non-finite, huge), a key or list entry
 dropped, or an unknown key added, anywhere in the tree.  One test applies
-every single edit with a fixed set of values; the other draws one to three
-edits with arbitrary values.
+every single edit with a fixed set of values, and builds the initial data of
+each edit that parses, as both commands do before they run; the other draws
+one to three edits with arbitrary values.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from branesim.cli import parse_mcf_config, parse_run_config
+from branesim.cli import initial_data, parse_mcf_config, parse_run_config
 from branesim.solver import ConfigError
 
 pytest.importorskip("hypothesis")
@@ -68,7 +69,19 @@ def _edit(doc, path, op, value):
 
 def _returns_or_raises_config_error(parser, doc):
     try:
-        parser(doc)
+        return parser(doc)
+    except ConfigError:
+        return None
+
+
+def _builds_or_raises_config_error(cfg):
+    """Builds the initial data of a parsed config through the check both commands run first."""
+    if isinstance(cfg, dict):  # an mcf-compare config
+        args = cfg["grid"], cfg["m"], cfg["x_modes"], cfg["v_modes"]
+    else:
+        args = cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes
+    try:
+        initial_data(*args)
     except ConfigError:
         pass
 
@@ -78,7 +91,9 @@ def test_config_parsers_every_single_edit(parser, name):
     edits = [("drop", None), ("extra", 0)] + [("replace", v) for v in SPECIAL]
     for path in _paths(_load(name)):
         for op, value in edits:
-            _returns_or_raises_config_error(parser, _edit(_load(name), path, op, value))
+            cfg = _returns_or_raises_config_error(parser, _edit(_load(name), path, op, value))
+            if cfg is not None:
+                _builds_or_raises_config_error(cfg)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

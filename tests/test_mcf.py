@@ -68,6 +68,19 @@ def test_metric_degenerate_raises():
         induced_metric(E)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_metric_inverse_from_the_adjugate_is_symmetric_and_inverts_g(n):
+    rng = np.random.default_rng(n)
+    dX = rng.uniform(-2.0, 2.0, (n + 1, n, 64))
+    dX[:n, :n] += 3.0 * np.eye(n)[..., None]  # keeps det g well away from 0
+    g, detg, ginv = mcf._metric_from_gradients(dX)
+    assert ginv.shape == g.shape == (n, n, 64)
+    assert np.array_equal(ginv, ginv.swapaxes(0, 1))
+    assert np.array_equal(detg, g[0, 0] if n == 1 else g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    eye = np.einsum("ij...,jk...->ik...", g, ginv)
+    assert np.max(np.abs(eye - np.eye(n)[..., None])) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # velocity
 
@@ -205,17 +218,18 @@ def test_acceleration_rejects_bad_dt():
 
 
 def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
-    # each step evaluates the velocity twice, so the 5th call is the first
-    # stage of step 3; the march takes equal steps that end on theta_end
-    real = mcf.mcf_velocity
+    # each step evaluates the velocity twice, V(X) and V(Y), so the 5th
+    # call is the first stage of step 3; the march takes equal steps that
+    # end on theta_end
+    real = mcf._divergence
     calls = []
 
-    def nan_on_fifth_call(E):
+    def nan_on_fifth_call(*args):
         calls.append(1)
-        vel = real(E)
+        vel = real(*args)
         return vel * math.nan if len(calls) == 5 else vel
 
-    monkeypatch.setattr(mcf, "mcf_velocity", nan_on_fifth_call)
+    monkeypatch.setattr(mcf, "_divergence", nan_on_fifth_call)
     du = circle_embedding(64, 1.0).grid.spacing[0]
     dtheta = 0.25 / math.ceil(0.25 / (0.1 * du))
     with pytest.raises(solver.BlowUpError) as info:
@@ -316,3 +330,4 @@ def test_import_leaves_numpy_fft_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+

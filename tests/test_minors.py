@@ -278,3 +278,23 @@ def test_z_is_symmetric_positive_definite():
         Z = np.array(z_matrix(F), dtype=float)
         assert np.allclose(Z, Z.T, atol=0)
         np.linalg.cholesky(Z)  # raises if not positive definite
+
+
+# ---------------------------------------------------------------------------
+# the determinant side on array entries, as the oracle and the MCF metric run it
+
+
+@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_determinant_side_on_grid_arrays_matches_each_point_exactly(shape):
+    # small integer values keep every float product and sum exact, so the
+    # whole-grid evaluation must equal the per-point Fraction one bit for bit
+    m, n = shape
+    F = np.random.default_rng(10 * m + n).integers(-3, 4, (m, n, 4, 3)).astype(float)
+    got = {"xi": xi(F), "xi_prime": xi_prime(F), "z_matrix": z_matrix(F)}
+    for p in np.ndindex(*F.shape[2:]):
+        Fp = [[Fr(int(F[(a, i) + p])) for i in range(n)] for a in range(m)]
+        assert got["xi"][p] == xi(Fp)
+        for name, rows in (("xi_prime", xi_prime(Fp)), ("z_matrix", z_matrix(Fp))):
+            for a, row in enumerate(rows):
+                for i, want in enumerate(row):
+                    assert got[name][a][i][p] == want, (name, a, i, p)

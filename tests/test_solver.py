@@ -490,6 +490,36 @@ def test_timelike_guard():
         initial_fields(g, 1, [], [Mode(1, (1,), 1.2, 0.0)])
 
 
+def test_timelike_guard_rejects_nan_slack():
+    with pytest.raises(ConfigError, match="not time-like enough: min.* = nan is not >= 0.05"):
+        solver.graph_momentum(np.zeros((1, 1, 8)), np.full((1, 8), np.nan))
+
+
+def test_graph_momentum_rejects_gradients_whose_zeta_overflows():
+    # two heights at 1e300 give I + F F^T = inf, whose solve would be NaN
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="I \\+ F F\\^T overflows"):
+        solver.graph_momentum(np.full((2, 1, 8), 1e300), np.zeros((2, 8)))
+
+
+@pytest.mark.parametrize(
+    "grid, m, x_modes, match",
+    [
+        # I + F F^T stays finite, but the 2x2 minor (1e100)^2 squares past the float range in h
+        (Grid((8, 8), (TWO_PI, TWO_PI)), 2, [Mode(1, (1, 0), 1e100), Mode(2, (0, 1), 1e100)], "tau = 1/h is not"),
+        # finite, but tau = 1/h at most 1e-12 would trip the guard of the first diagnostics row
+        (Grid((8,), (TWO_PI,)), 1, [Mode(1, (1,), 1e12)], "tau = 1/h is not above 1e-12"),
+        # F = a k cos is small on a long domain, while two modes of 1.5e308 add past the float range
+        (Grid((8,), (1e300,)), 1, [Mode(1, (1,), 1.5e308), Mode(1, (1,), 1.5e308)], "the heights overflow"),
+        (Grid((8,), (TWO_PI,)), 1, [Mode(1, (10**400,), 0.1)], "wave vector of component 1 too large"),
+        (Grid((8,), (1e-10,)), 1, [Mode(1, (10**300,), 0.1)], "wave vector of component 1 too large"),
+    ],
+    ids=["minor-squared", "tau-at-the-guard", "heights", "wave-past-float", "wave-over-length"],
+)
+def test_initial_fields_reject_data_that_overflows(grid, m, x_modes, match):
+    with pytest.raises(ConfigError, match=match):
+        initial_fields(grid, m, x_modes, [])
+
+
 # ---------------------------------------------------------------------------
 # runs
 
