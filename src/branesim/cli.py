@@ -431,6 +431,9 @@ def _state_from_json(data: dict) -> tuple[PrimitiveState, list[float] | None]:
     d = _numbers(st["d"], m, "state.d")
     v = _numbers(st["v"], n, "state.v")
     mm = _numbers(st["minors"], layout.minor_count, "state.minors")
+    # the conservative variables W / tau, which the n = 1 residual differentiates
+    if not all(math.isfinite(x / tau) for x in d + v + mm):
+        raise ConfigError("state: too large; an entry of W / tau overflows")
     W = PrimitiveState(tau, d, v, mm, layout)
     nu = data.get("nu")
     if nu is not None:
@@ -446,16 +449,18 @@ def cmd_characteristics(path: str) -> int:
     if nu is None:
         nu = [0.0] * n
         nu[0] = 1.0
-    if n == 1:
-        lp, lm, fields = flux.char_speeds_n1(W)
-        res = flux.linear_degeneracy_residual(W)
-        print("speed multiplicity")
-        for f in fields:
-            print(f"{solver._fmt(f.speed)} {f.multiplicity}")
-        print(f"linear_degeneracy_residual {solver._fmt(res)}")
     # scaling by max |nu| first keeps the squares in the norm from overflowing or underflowing
     nu = np.asarray(nu) / np.max(np.abs(nu))
-    spectrum = flux.wave_speeds(W, nu / np.linalg.norm(nu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = flux.wave_speeds(W, nu / np.linalg.norm(nu))
+        res = flux.linear_degeneracy_residual(W) if n == 1 else 0.0
+    if not (np.all(np.isfinite(spectrum)) and math.isfinite(res)):
+        raise ConfigError("state: too large; its spectrum or linear-degeneracy residual is not finite")
+    if n == 1:
+        print("speed multiplicity")
+        for f in flux.char_speeds_n1(W)[2]:
+            print(f"{solver._fmt(f.speed)} {f.multiplicity}")
+        print(f"linear_degeneracy_residual {solver._fmt(res)}")
     print("spectrum " + " ".join(solver._fmt(x) for x in spectrum))
     return 0
 

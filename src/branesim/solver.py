@@ -25,6 +25,7 @@ import numpy as np
 
 from . import flux as _flux
 from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout, xi, xi_prime
+from .minors import _adjugate, _det, _gram_plus_identity, _rows
 from .state import (
     EPS_SINGULAR,
     BlowUpError,
@@ -339,32 +340,24 @@ def fourier_series(modes, grid: Grid, m: int):
 def graph_momentum(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     """D = h (I + F F^T)^{-1} V with h eliminated in closed form.
 
-    Rejects data that is not comfortably time-like, i.e. unless
-    1 - V^T (I + F F^T)^{-1} V >= TIMELIKE_MARGIN everywhere (so NaN is
-    rejected too), and F whose I + F F^T overflows.
+    zeta = I + F F^T enters through its determinant and adjugate from ``minors``;
+    by Sylvester's identity det zeta = det(I + F^T F).  Rejects data that is not
+    comfortably time-like, i.e. unless 1 - V^T zeta^{-1} V >= TIMELIKE_MARGIN
+    everywhere (so NaN is rejected too), and F whose zeta overflows.
     """
-    m = F.shape[0]
-    npts = int(np.prod(F.shape[2:])) if F.ndim > 2 else 1
-    shape = F.shape[2:]
-    Fr = F.reshape(m, F.shape[1], npts)
-    Vr = V.reshape(m, npts)
-    zeta = np.einsum("aip,bip->pab", Fr, Fr) + np.eye(m)
-    if not np.all(np.isfinite(zeta)):
+    zeta = _gram_plus_identity(_rows(np.swapaxes(F, 0, 1)))
+    if not all(np.all(np.isfinite(z)) for row in zeta for z in row):
         raise ConfigError("initial height gradients too large: I + F F^T overflows")
-    W = np.linalg.solve(zeta, Vr.T[..., None])[..., 0]  # (npts, m)
-    q = np.einsum("pa,ap->p", W, Vr)
-    slack = 1.0 - q
+    det = _det(zeta)
+    adj_v = [sum(a * v for a, v in zip(row, V)) for row in _adjugate(zeta)]
+    slack = 1.0 - sum(v * w for v, w in zip(V, adj_v)) / det
     if not np.min(slack) >= TIMELIKE_MARGIN:
         raise ConfigError(
             "initial data is not time-like enough: "
             f"min(1 - V zeta^-1 V) = {np.min(slack):.6g} is not >= {TIMELIKE_MARGIN}"
         )
-    # det(I_n + F^T F) pointwise
-    n = F.shape[1]
-    FtF = np.einsum("aip,ajp->pij", Fr, Fr)
-    h = np.sqrt(np.linalg.det(np.eye(n) + FtF)) / np.sqrt(slack)
-    D = (h[:, None] * W).T
-    return D.reshape(m, *shape) if shape else D[:, 0]
+    # h / det zeta with h = sqrt(det zeta / slack), formed before it scales adj zeta V
+    return np.array(adj_v) * (np.sqrt(det / slack) / det)
 
 
 def initial_fields(grid: Grid, m: int, x_modes, v_modes):
@@ -530,19 +523,14 @@ def _component_names(lay: MinorLayout) -> list[str]:
     )
 
 
-def _packed(F: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The oracle (F, D) as one array [F as (m n, *sizes); D], so rk4_step applies unchanged."""
-    return np.concatenate([F.reshape(-1, *F.shape[2:]), D])
-
-
 def _unpacked(y: np.ndarray, n: int):
-    """The (F, D) views of a _packed array on an n-d grid."""
+    """The (F, D) views of the oracle rows [F as (m n, *sizes); D] of a run's state on an n-d grid."""
     m = len(y) // (n + 1)
     return y[: m * n].reshape(m, n, *y.shape[1:]), y[m * n :]
 
 
-def _packed_names(m: int, n: int) -> list[str]:
-    """The names of the rows of a _packed array: F_a_i, then D_a."""
+def _oracle_names(m: int, n: int) -> list[str]:
+    """The names of the oracle rows of a run's state: F_a_i, then D_a."""
     return [f"F_{a}_{i}" for a in range(1, m + 1) for i in range(1, n + 1)] + [f"D_{a}" for a in range(1, m + 1)]
 
 
@@ -569,45 +557,42 @@ def run(
     out_every = steps if output_cadence <= 0 else max(1, round(min(output_cadence, t_end) / dt))
     snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
     rows, snapshots = [], []
-    n = fld.grid.n
+    n, dim = fld.grid.n, fld.layout.state_dim
 
-    def oracle_rhs(y, out):
-        rhs_original(*_unpacked(y, n), fld.grid, _unpacked(out, n))
-        return out
-
-    # per system, the field and then the oracle when there is one: its state, right-hand
-    # side, component names and step buffers [acc, k, spare].  A step writes into the
-    # spare and the state it replaces becomes the next spare, so a failing step leaves
-    # its input intact and the RK4 sums allocate nothing
-    start = (fld.values,) + (() if oracle is None else (_packed(*oracle),))
-    names = (_component_names(fld.layout), _packed_names(fld.layout.m, n))
-    buffers = [[np.empty_like(y) for _ in range(3)] for y in start]
-    # a diagnostics row writes d_t W of the state it sees into the field's acc, where the
+    # one array steps both systems: W's rows, then the oracle's packed (F, D) rows when
+    # there is one.  A step writes into the spare of its buffers [acc, k, spare] and the
+    # state it replaces becomes the next spare, so a failing step leaves its input intact
+    # and the RK4 sums allocate nothing
+    start = fld.values
+    if oracle is not None:
+        start = np.concatenate((start, oracle[0].reshape(-1, *fld.grid.sizes), oracle[1]))
+    names = _component_names(fld.layout) + _oracle_names(fld.layout.m, n)
+    buffers = [np.empty_like(start) for _ in range(3)]
+    # a diagnostics row writes d_t W of the state it sees into acc's field rows, where the
     # next step's first stage takes it instead of evaluating it again; a replay of a
     # failing step runs on fresh buffers and so evaluates every stage itself
     primed = False
 
-    def field_rhs(W, out):
+    def rhs(y, out):
         nonlocal primed
-        if primed and out is buffers[0][0]:
+        if primed and out is buffers[0]:
             primed = False
-            return out
-        return rhs_augmented(GridField(fld.grid, fld.layout, W), out)
+        else:
+            rhs_augmented(GridField(fld.grid, fld.layout, y[:dim]), out[:dim])
+        if len(y) > dim:
+            rhs_original(*_unpacked(y[dim:], n), fld.grid, _unpacked(out[dim:], n))
+        return out
 
-    rhs = (field_rhs, oracle_rhs)
+    def step(y, dt):
+        new = rk4_step(y, dt, rhs, buffers[2], buffers[:2], names)
+        buffers[2] = y
+        return new
 
-    def step(state, dt):
-        new = []
-        for y, f, label, buf in zip(state, rhs, names, buffers):
-            new.append(rk4_step(y, dt, f, buf[2], buf[:2], label))
-            buf[2] = y
-        return tuple(new)
-
-    def after(k, t, state):
+    def after(k, t, y):
         nonlocal primed
-        fld.values = state[0]
+        fld.values = y[:dim]
         if k % out_every == 0 or k == steps:
-            rows.append(diagnostics(fld, t, _unpacked(state[1], n) if len(state) > 1 else None, buffers[0][0]))
+            rows.append(diagnostics(fld, t, _unpacked(y[dim:], n) if len(y) > dim else None, buffers[0][:dim]))
             primed = True
         if snap_every is not None and (k % snap_every == 0 or k == steps):
             snapshots.append((t, _snapshot(fld, t)))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -470,12 +471,21 @@ def test_characteristics_validation_messages(tmp_path, capsys):
         ({"schema": 7}, "state file.schema"),
         ({"m": 9}, "state file.m"),
         ({"n": 3}, "state file.n"),
+        # U = W / tau overflows, so the n = 1 residual was NaN and printed as 0
+        ({"state": {"tau": 1e-11, "d": [1e308], "v": [1e308], "minors": [1e308]}}, "state: too large"),
+        # every W / tau is finite, but the spectrum held inf
+        (
+            {"m": 2, "n": 2, "state": {"tau": 1.0, "d": [1e308] * 2, "v": [1e308] * 2, "minors": [1e308] * 5}},
+            "state: too large",
+        ),
     ]
     for bad, key in cases:
         doc = {"m": 1, "n": 1, "state": state, **bad}
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
-        assert_rejected(["characteristics", str(path)], key, capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_rejected(["characteristics", str(path)], key, capsys)
     path.write_text(json.dumps({"schema": 1, "m": 1, "n": 1, "state": state, "nu": [-2.0]}))
     assert main(["characteristics", str(path)]) == 0
 
@@ -795,6 +805,24 @@ def test_the_only_exception_classes_are_config_and_blowup_errors():
     # the solver and the CLI re-export the same two classes
     assert solver.ConfigError is cli.ConfigError is minors.ConfigError
     assert solver.BlowUpError is cli.BlowUpError is state.BlowUpError
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # perfbench/spans.py lists the functions whose calls and self time the benchmark
+    # reports; one deleted or renamed here would drop out of those metrics unnoticed
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
+    (layers,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in layers.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"branesim.{mod}"), fn, None))
+    ]
+    assert "minors" in layers and missing == []
 
 
 def _raise(exc):

@@ -501,6 +501,43 @@ def test_graph_momentum_rejects_gradients_whose_zeta_overflows():
         solver.graph_momentum(np.full((2, 1, 8), 1e300), np.zeros((2, 8)))
 
 
+def lapack_graph_momentum(F, V):
+    """The batched LAPACK formula graph_momentum replaced: h solve(I + F F^T, V), h^2 = det(I + F^T F) / slack."""
+    m, n = F.shape[:2]
+    Fr, Vr = F.reshape(m, n, -1), V.reshape(m, -1)
+    W = np.linalg.solve(np.einsum("aip,bip->pab", Fr, Fr) + np.eye(m), Vr.T[..., None])[..., 0]
+    slack = 1.0 - np.einsum("pa,ap->p", W, Vr)
+    h = np.sqrt(np.linalg.det(np.eye(n) + np.einsum("aip,ajp->pij", Fr, Fr))) / np.sqrt(slack)
+    return (h[:, None] * W).T.reshape(V.shape)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_graph_momentum_matches_the_lapack_formula(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    F = rng.normal(size=(m, n, 7, 9)) * 10.0 ** rng.uniform(-2, 1, size=(1, 1, 7, 9))
+    # |V| < 0.95 keeps 1 - V^T (I + F F^T)^{-1} V >= 1 - |V|^2 above the margin
+    V = rng.normal(size=(m, 7, 9))
+    V *= rng.uniform(0.0, 0.95, size=(7, 9)) / np.sqrt(np.sum(V * V, axis=0))
+    got, want = solver.graph_momentum(F, V), lapack_graph_momentum(F, V)
+    assert got.shape == V.shape
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-13
+    # one point without grid axes
+    assert np.array_equal(solver.graph_momentum(F[..., 3, 4], V[:, 3, 4]), got[:, 3, 4])
+
+
+def test_initial_data_and_an_oracle_run_call_no_lapack_solve_or_det(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve or np.linalg.det on the solver path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    g = Grid((16, 12), (TWO_PI, 5.0))
+    fld, ora, _ = initial_fields(g, 2, [Mode(1, (1, 0), 0.1), Mode(2, (0, 1), 0.1, 0.5)], [Mode(2, (1, 1), 0.05, 0.3)])
+    res = run(fld, t_end=0.3, cfl=0.4, oracle=ora)
+    assert res.steps >= 2 and res.rows[-1].oracle_D_err_Linf < 1e-3
+
+
 @pytest.mark.parametrize(
     "grid, m, x_modes, match",
     [
@@ -592,6 +629,25 @@ def test_oracle_equivalence_small_run():
     res = run(fld, t_end=0.5, cfl=0.4, oracle=ora)
     assert res.rows[-1].oracle_F_err_Linf < 1e-5
     assert res.rows[-1].oracle_D_err_Linf < 1e-5
+
+
+def test_turning_the_oracle_on_changes_no_byte_of_the_field():
+    g = Grid((16, 12), (TWO_PI, 5.0))
+    X = [Mode(1, (1, 0), 0.1, 0.0), Mode(2, (0, 1), 0.1, 0.5)]
+    fld, ora, _ = initial_fields(g, 2, X, [Mode(2, (1, 1), 0.05, 0.3)])
+    runs = [run(fld, t_end=1.0, cfl=0.4, output_cadence=0.25, snapshot_cadence=0.5, oracle=o) for o in (None, ora)]
+    (csv, snaps, values), (csv_o, snaps_o, values_o) = (
+        (
+            [line.split(",")[:8] for line in solver.rows_to_csv(r.rows).splitlines()],
+            [solver.snapshot_to_json(s) for _, s in r.snapshots],
+            r.field.values,
+        )
+        for r in runs
+    )
+    assert runs[0].steps > 4 and len(csv) == 6 and len(snaps) == 3
+    assert csv == csv_o and snaps == snaps_o and values.tobytes() == values_o.tobytes()
+    # the oracle columns are filled only when the oracle runs
+    assert runs[0].rows[-1].oracle_F_err_Linf is None and runs[1].rows[-1].oracle_F_err_Linf < 1e-3
 
 
 def test_csv_rows_format():
