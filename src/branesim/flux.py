@@ -418,8 +418,8 @@ def linear_degeneracy_residual(W: PrimitiveState) -> float:
                 continue
             step = 1e-5 * scale / vnorm  # relative finite-difference step
             g = (speed(U + step * vec, s) - speed(U - step * vec, s)) / (2 * step)
-            worst = np.maximum(worst, abs(float(g)))  # a NaN slope stays NaN
-    return float(worst)
+            worst = max(worst, abs(float(g)))
+    return worst
 
 
 def wave_speeds(W: PrimitiveState, nu) -> np.ndarray:

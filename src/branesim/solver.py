@@ -25,7 +25,7 @@ import numpy as np
 
 from . import flux as _flux
 from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout, xi, xi_prime
-from .minors import _adjugate, _det, _gram_plus_identity, _rows
+from .minors import _adjugate, _gram_plus_identity, _rows
 from .state import (
     EPS_SINGULAR,
     BlowUpError,
@@ -340,15 +340,17 @@ def fourier_series(modes, grid: Grid, m: int):
 def graph_momentum(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     """D = h (I + F F^T)^{-1} V with h eliminated in closed form.
 
-    zeta = I + F F^T enters through its determinant and adjugate from ``minors``;
-    by Sylvester's identity det zeta = det(I + F^T F).  Rejects data that is not
-    comfortably time-like, i.e. unless 1 - V^T zeta^{-1} V >= TIMELIKE_MARGIN
+    zeta = I + F F^T enters through its adjugate from ``minors`` and its determinant
+    through Sylvester's identity det zeta = det(I + F^T F) = xi(F): the n x n side
+    (n <= 2) cancels far less than the m x m expansion, whose terms grow like
+    |F|^(2m) while the determinant may grow only like |F|^2.  Rejects data that is
+    not comfortably time-like, i.e. unless 1 - V^T zeta^{-1} V >= TIMELIKE_MARGIN
     everywhere (so NaN is rejected too), and F whose zeta overflows.
     """
     zeta = _gram_plus_identity(_rows(np.swapaxes(F, 0, 1)))
     if not all(np.all(np.isfinite(z)) for row in zeta for z in row):
         raise ConfigError("initial height gradients too large: I + F F^T overflows")
-    det = _det(zeta)
+    det = xi(F)
     adj_v = [sum(a * v for a, v in zip(row, V)) for row in _adjugate(zeta)]
     slack = 1.0 - sum(v * w for v, w in zip(V, adj_v)) / det
     if not np.min(slack) >= TIMELIKE_MARGIN:

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -524,6 +525,39 @@ def test_graph_momentum_matches_the_lapack_formula(m, n):
     assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-13
     # one point without grid axes
     assert np.array_equal(solver.graph_momentum(F[..., 3, 4], V[:, 3, 4]), got[:, 3, 4])
+
+
+def exact_graph_momentum(F, V):
+    """D at one point from zeta = I + F F^T in exact rationals; only the final sqrt and product round."""
+    m, n = F.shape
+    Fq, Vq = [[Fr(float(x)) for x in row] for row in F], [Fr(float(x)) for x in V]
+    # Gauss-Jordan on [zeta | V]; the product of the pivots is det zeta
+    A = [[int(a == b) + sum(Fq[a][i] * Fq[b][i] for i in range(n)) for b in range(m)] + [Vq[a]] for a in range(m)]
+    det = Fr(1)
+    for p in range(m):
+        det *= A[p][p]
+        for r in range(m):
+            if r != p:
+                A[r] = [x - A[r][p] / A[p][p] * y for x, y in zip(A[r], A[p])]
+    q = [A[a][m] / A[a][a] for a in range(m)]
+    slack = 1 - sum(v * w for v, w in zip(Vq, q))
+    return np.array([float(x) for x in q]) * math.sqrt(det / slack)
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_graph_momentum_on_steep_gradients_matches_an_exact_reference(m, n):
+    # |F| ~ 1e3..1e4, where a determinant of the m x m zeta (terms ~ |F|^(2m)) loses most of
+    # its digits; any method that forms zeta errs like cond(zeta) eps ~ |F|^2 eps
+    rng = np.random.default_rng(100 + 10 * m + n)
+    F = rng.normal(size=(m, n, 40)) * 10.0 ** rng.uniform(3, 4, size=40)
+    F[..., 0] = 1e4  # every entry equal, the worst case for the m x m expansion
+    V = rng.normal(size=(m, 40))
+    V *= rng.uniform(0.0, 0.95, size=40) / np.sqrt(np.sum(V * V, axis=0))
+    got = solver.graph_momentum(F, V)
+    for p in range(40):
+        want = exact_graph_momentum(F[..., p], V[:, p])
+        cond = 1.0 + np.sum(F[..., p] ** 2)
+        assert np.max(np.abs(got[:, p] - want)) <= 16 * np.finfo(float).eps * cond * np.max(np.abs(want))
 
 
 def test_initial_data_and_an_oracle_run_call_no_lapack_solve_or_det(monkeypatch):
