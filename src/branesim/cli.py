@@ -110,7 +110,7 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
 
     ``keys`` and ``scheme_keys`` map each command's own top-level and
     ``scheme`` keys to whether they are required.  Returns the shared fields
-    under the names ``RunConfig`` uses.
+    as the dict each command's parser extends with its own.
     """
     _require_keys(
         data,
@@ -156,25 +156,8 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
     }
 
 
-@dataclass
-class RunConfig:
-    """Validated simulate configuration (schema 1)."""
-
-    m: int
-    n: int
-    grid: Grid
-    cfl: float
-    t_end: float
-    output_cadence: float
-    x_modes: list[Mode]
-    v_modes: list[Mode]
-    oracle_compare: bool
-    output_dir: str
-    snapshot_cadence: float | None = None
-
-
-def parse_run_config(data: dict) -> RunConfig:
-    common = _parse_common(
+def parse_run_config(data: dict) -> dict:
+    cfg = _parse_common(
         data,
         {
             "scheme": True,
@@ -204,13 +187,11 @@ def parse_run_config(data: dict) -> RunConfig:
     # simulate draws no random numbers; the seed is checked and has no effect
     _integer(data.get("seed", 0), "config.seed")
     snap = data.get("snapshot_cadence")
-    return RunConfig(
-        **common,
-        t_end=_positive(data["t_end"], "config.t_end"),
-        output_cadence=cadence,
-        oracle_compare=toggles.get("oracle_compare", False),
-        snapshot_cadence=None if snap is None else _positive(snap, "config.snapshot_cadence"),
-    )
+    cfg["t_end"] = _positive(data["t_end"], "config.t_end")
+    cfg["output_cadence"] = cadence
+    cfg["oracle_compare"] = toggles.get("oracle_compare", False)
+    cfg["snapshot_cadence"] = None if snap is None else _positive(snap, "config.snapshot_cadence")
+    return cfg
 
 
 def load_json(path: str) -> dict:
@@ -272,7 +253,7 @@ def _cleared(F) -> list[list[int]]:
     return [[x.numerator * (L // x.denominator) for x in row] for row in F]
 
 
-def cmd_verify(shapes=DEFAULT_VERIFY_SHAPES, samples: int = 200, seed: int = 0) -> VerifyReport:
+def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
     """Run every exact identity suite; failures carry a reproducing input."""
     t0 = time.perf_counter()
     report = VerifyReport(seed=seed, samples=samples, shapes=[tuple(s) for s in shapes])
@@ -354,12 +335,12 @@ def cmd_verify(shapes=DEFAULT_VERIFY_SHAPES, samples: int = 200, seed: int = 0) 
 
 
 def _output_dir(flag: str | None, configured: str) -> Path:
-    """The --output-dir flag, else config.output_dir; created before the run, so a bad path exits 2 early."""
-    out_dir = Path(flag or configured)
+    """The --output-dir flag if given ("" is "."), else config.output_dir; made first, so a bad path exits 2 early."""
+    out_dir = Path(configured if flag is None else flag)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        where = "--output-dir" if flag else "config.output_dir"
+        where = "config.output_dir" if flag is None else "--output-dir"
         raise ConfigError(f"{where}: cannot create directory {out_dir} ({exc.strerror or exc})") from None
     return out_dir
 
@@ -374,25 +355,25 @@ def _write_run(out_dir: Path, rows, snapshots):
         (out_dir / name).write_text(solver.snapshot_to_json(snap))
 
 
-def initial_data(grid: Grid, m: int, x_modes, v_modes):
-    """solver.initial_fields, its ConfigError named config.initial_data; both commands check their data with it."""
+def initial_data(cfg: dict):
+    """The one build of a parsed config's data: solver.initial_fields, its ConfigError named config.initial_data."""
     with _naming("config.initial_data"):
-        return solver.initial_fields(grid, m, x_modes, v_modes)
+        return solver.initial_fields(cfg["grid"], cfg["m"], cfg["x_modes"], cfg["v_modes"])
 
 
 def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
-    fld, oracle, _ = initial_data(cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes)
-    out_dir = _output_dir(output_dir, cfg.output_dir)
+    fld, oracle, _ = initial_data(cfg)
+    out_dir = _output_dir(output_dir, cfg["output_dir"])
     try:
         with _naming("config.scheme.cfl, config.t_end"):
             result = solver.run(
                 fld,
-                t_end=cfg.t_end,
-                cfl=cfg.cfl,
-                output_cadence=cfg.output_cadence,
-                oracle=oracle if cfg.oracle_compare else None,
-                snapshot_cadence=cfg.snapshot_cadence,
+                t_end=cfg["t_end"],
+                cfl=cfg["cfl"],
+                output_cadence=cfg["output_cadence"],
+                oracle=oracle if cfg["oracle_compare"] else None,
+                snapshot_cadence=cfg["snapshot_cadence"],
             )
     except BlowUpError as exc:
         _write_run(out_dir, exc.rows, exc.snapshots)
@@ -530,20 +511,19 @@ def _sampled_rows(count: int) -> list[int]:
 
 def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_mcf_config(load_json(config_path))
-    grid = cfg["grid"]
-    _, _, u0 = initial_data(grid, cfg["m"], cfg["x_modes"], cfg["v_modes"])
+    # one build serves the acceleration comparison at every dt and the graph flow
+    data = initial_data(cfg)
+    u0 = data[2]
     out_dir = _output_dir(output_dir, cfg["output_dir"])
     lines = ["t,err_acceleration_Linf,tangency_residual,radius_or_amplitude"]
 
-    E0 = mcf.EmbeddingField.from_graph(grid, u0)
+    E0 = mcf.EmbeddingField.from_graph(cfg["grid"], u0)
     tan0 = mcf.tangency_residual(E0)
     amp0 = float(np.max(np.abs(u0)))
 
-    errors = []
-    for dt in cfg["dt_values"]:
-        with _naming("config.dt_values, config.scheme.cfl"):
-            err = mcf.acceleration_limit_test(grid, cfg["m"], cfg["x_modes"], dt, cfl=cfg["cfl"])
-        errors.append(err)
+    with _naming("config.dt_values, config.scheme.cfl"):
+        errors = mcf.acceleration_limit_test(data, cfg["dt_values"], cfg["cfl"])
+    for dt, err in zip(cfg["dt_values"], errors):
         lines.append(",".join([solver._fmt(dt), solver._fmt(err), solver._fmt(tan0), solver._fmt(amp0)]))
 
     order_line = "acceleration order in dt:"
@@ -561,7 +541,7 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
     if cfg["graph_flow"] is not None:
         gf = cfg["graph_flow"]
         with _naming("config.graph_flow.step_factor, config.graph_flow.theta_end"):
-            thetas, amps = mcf.graph_amplitude_decay(grid, cfg["m"], cfg["x_modes"], gf["theta_end"], gf["step_factor"])
+            thetas, amps = mcf.graph_amplitude_decay(E0, gf["theta_end"], gf["step_factor"])
         for k in _sampled_rows(len(thetas)):
             lines.append(",".join([solver._fmt(thetas[k]), "", solver._fmt(tan0), solver._fmt(amps[k])]))
 

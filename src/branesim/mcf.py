@@ -5,6 +5,7 @@ velocity-free extremal graph with the mean-curvature velocity of its time
 slice.  ``acceleration_limit_test`` measures exactly that: it evolves the
 lifted data a few steps, forms the discrete acceleration, and compares
 against the mean-curvature velocity expressed in the same graph gauge.
+Both it and the graph flow take initial data the caller has built once.
 
 The raw mean-curvature velocity moves points tangentially as well as
 normally; only after removing the tangential reparametrization do the two
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import solver as _solver
 from .minors import _adjugate, _det
-from .solver import BlowUpError, ConfigError, Grid, GridField, derivative, fourier_series, initial_fields
+from .solver import BlowUpError, ConfigError, Grid, GridField, derivative
 
 
 @dataclass
@@ -201,18 +202,19 @@ def _height_velocity(fld: GridField) -> np.ndarray:
     return out
 
 
-def acceleration_limit_test(grid: Grid, m: int, x_modes, dt: float, *, cfl: float = 0.4) -> float:
-    """Linf error between the discrete initial acceleration and the MCF velocity.
+def acceleration_limit_test(data, dt_values, cfl: float) -> list[float]:
+    """Linf error between the discrete initial acceleration and the MCF velocity, per dt.
 
-    Evolves velocity-free graph data (m heights built from ``x_modes``) and the
-    heights in at least two substeps within the CFL bound, and forms a_disc =
+    ``data`` is the (W field, (F0, D0), heights) of ``solver.initial_fields``
+    for velocity-free graph data.  For each dt the field and the heights
+    evolve in at least two substeps within the CFL bound, and a_disc =
     2 (X(dt) - X(0)) / dt^2; with V = 0 the trajectory is even in t, so the
     error is O(dt^2) plus the stencil contribution.
     """
-    fld, (F0, D0), u0 = initial_fields(grid, m, x_modes, [])
+    fld, (F0, D0), u0 = data
     if float(np.max(np.abs(D0))) != 0.0:
         raise ConfigError("acceleration limit requires velocity-free initial data")
-    dim = fld.layout.state_dim
+    grid, dim = fld.grid, fld.layout.state_dim
 
     def rhs(y, out):
         wfld = GridField(grid, fld.layout, y[:dim])
@@ -220,17 +222,19 @@ def acceleration_limit_test(grid: Grid, m: int, x_modes, dt: float, *, cfl: floa
         out[dim:] = _height_velocity(wfld)
         return out
 
-    names = _solver._component_names(fld.layout) + [f"u_{a}" for a in range(1, m + 1)]
+    names = _solver._component_names(fld.layout) + [f"u_{a}" for a in range(1, fld.layout.m + 1)]
 
     def step(y, h):
         return _solver.rk4_step(y, h, rhs, names=names)
 
     y0 = np.concatenate([fld.values, u0], axis=0)
-    y = _solver.march(y0, dt, _solver.cfl_dt(fld, cfl), step, min_steps=2)
-
-    a_disc = 2.0 * (y[dim:] - u0) / dt**2
+    dt_max = _solver.cfl_dt(fld, cfl)
     w_g = graph_gauge_velocity(grid, F0)
-    return float(np.max(np.abs(a_disc - w_g)))
+    errors = []
+    for dt in dt_values:
+        y = _solver.march(y0, dt, dt_max, step, min_steps=2)
+        errors.append(float(np.max(np.abs(2.0 * (y[dim:] - u0) / dt**2 - w_g))))
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ def mean_radius(E: EmbeddingField) -> float:
     return float(np.mean(np.sqrt(np.sum(E.X**2, axis=0))))
 
 
-def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_factor: float = 0.1):
+def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_factor: float):
     """Flow a circle under MCF to theta_end; returns (thetas, radii) from theta = 0 on.
 
     The steps are at most step_factor * ds * radius, with the arclength spacing
@@ -269,14 +273,14 @@ def shrinking_circle_radii(points: int, radius: float, theta_end: float, step_fa
     return tuple(np.array(rows).T)
 
 
-def graph_amplitude_decay(grid: Grid, m: int, x_modes, theta_end: float, step_factor: float = 0.1):
-    """Flow the graph of m heights under MCF to theta_end; returns (thetas, max |heights|).
+def graph_amplitude_decay(E: EmbeddingField, theta_end: float, step_factor: float):
+    """Flow the graph embedding E under MCF to theta_end; returns (thetas, max |heights|).
 
-    The steps are at most step_factor * min_j dx_j L_j / (2 pi), the rule of the circle.
+    The heights are the rows of E.X after the n base coordinates.  The steps
+    are at most step_factor * min_j dx_j L_j / (2 pi), the rule of the circle.
     """
-    u, _ = fourier_series(x_modes, grid, m)
-    E = EmbeddingField.from_graph(grid, u)
+    grid = E.grid
     dtheta_max = step_factor * min(dx * length / (2 * np.pi) for dx, length in zip(grid.spacing, grid.lengths))
     rows = []
-    _solver.march(E, theta_end, dtheta_max, mcf_step, after=lambda k, t, E: rows.append((t, np.max(np.abs(E.X[-m:])))))
+    _solver.march(E, theta_end, dtheta_max, mcf_step, after=lambda k, t, E: rows.append((t, np.max(np.abs(E.X[grid.n :])))))
     return tuple(np.array(rows).T)

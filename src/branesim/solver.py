@@ -540,7 +540,7 @@ def run(
     fld: GridField,
     *,
     t_end: float,
-    cfl: float = 0.4,
+    cfl: float,
     output_cadence: float = 0.0,
     oracle=None,
     snapshot_cadence: float | None = None,

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -104,7 +105,7 @@ def test_cleared_scales_by_the_lcm_of_the_denominators():
 
 
 def test_verify_report_bytes_are_pinned():
-    doc = cmd_verify(samples=20, seed=7).to_json()
+    doc = cmd_verify(cli.DEFAULT_VERIFY_SHAPES, samples=20, seed=7).to_json()
     assert hashlib.sha256(doc.encode()).hexdigest() == "13efdac10f966740feeca9a89e0b0651bbeff3c10aaf725e1770d36ab626f319"
 
 
@@ -173,7 +174,7 @@ def test_a_flipped_sign_in_a_minor_sum_table_fails_its_identity(monkeypatch, tab
 
 def test_verify_passes_on_shapes_past_the_defaults():
     # 4x4 minors take the Bareiss determinant, and both shapes need tables of their own
-    report = cmd_verify(shapes=[(4, 4), (5, 3)], samples=2)
+    report = cmd_verify(shapes=[(4, 4), (5, 3)], samples=2, seed=0)
     assert report.all_passed()
     assert all(v == {"pass": 4, "fail": 0} for v in report.passes.values())
 
@@ -677,13 +678,48 @@ def test_uncreatable_output_dir_exits_2_before_the_run(tmp_path, capsys, monkeyp
         assert_rejected(["--output-dir", bad, command, str(config(tmp_path))], "--output-dir", capsys)
 
 
+def test_empty_output_dir_flag_is_the_current_directory(tmp_path, monkeypatch):
+    # a given flag wins over config.output_dir, and "" means ".", as "output_dir": "" does
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for command, config, written in (
+        ("simulate", flat_config, "diagnostics.csv"),
+        ("mcf-compare", mcf_config, "mcf_compare.csv"),
+    ):
+        assert main(["--output-dir", "", command, str(config(tmp_path))]) == 0
+        assert (cwd / written).is_file()
+    assert not (tmp_path / "out").exists()
+
+
+def test_mcf_compare_builds_its_initial_data_once(tmp_path, monkeypatch):
+    # one build serves the acceleration comparison at every dt and the graph flow;
+    # each binding of a counted function in the package is replaced, matched by identity
+    counted = (solver.initial_fields, state.lift, mcf.graph_gauge_velocity)
+    calls = dict.fromkeys((f.__name__ for f in counted), 0)
+
+    def counting(fn):
+        def spy(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for module in (cli, mcf, solver, state):
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in counted):
+                monkeypatch.setattr(module, attr, counting(value))
+    assert main(["--output-dir", str(tmp_path), "mcf-compare", str(CONFIG_DIR / "mcf_sine.json")]) == 0
+    assert calls == {"initial_fields": 1, "lift": 1, "graph_gauge_velocity": 1}
+
+
 def test_mcf_compare_uses_config_m(tmp_path, monkeypatch):
     seen = []
     real = cli.mcf.acceleration_limit_test
 
-    def spy(grid, m, *args, **kwargs):
-        seen.append(m)
-        return real(grid, m, *args, **kwargs)
+    def spy(data, *args):
+        seen.append(data[0].layout.m)
+        return real(data, *args)
 
     monkeypatch.setattr(cli.mcf, "acceleration_limit_test", spy)
     assert main(["mcf-compare", str(mcf_config(tmp_path, m=2, dt_values=[0.004]))]) == 0
@@ -763,10 +799,28 @@ def test_mcf_compare_huge_circle_ends_on_theta_end(tmp_path):
         assert rows[-1][1] == pytest.approx(1e150, rel=1e-12)
 
 
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location("workloads", CONFIG_DIR.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bundled_configs_parse():
     for name in ("string_n1.json", "membrane_n2.json", "flat_n1.json"):
-        parse_run_config(json.loads((CONFIG_DIR / name).read_text()))
-    cli.parse_mcf_config(json.loads((CONFIG_DIR / "mcf_sine.json").read_text()))
+        cli.initial_data(parse_run_config(json.loads((CONFIG_DIR / name).read_text())))
+    cli.initial_data(cli.parse_mcf_config(json.loads((CONFIG_DIR / "mcf_sine.json").read_text())))
+    # the benchmark generates its inputs from its own copies of the configs, so a
+    # parser change that retires a key they send must change the generators too
+    wl = _benchmark_workloads()
+    for parse, template in (
+        (parse_run_config, wl.STRESS_M3N2),
+        (parse_run_config, wl.MEMBRANE_N2),
+        (cli.parse_mcf_config, wl.MCF_SINE_RUN),
+    ):
+        for seed in (0, 3):
+            cli.initial_data(parse(wl.shifted(template, seed)))
 
 
 def test_threads_flag_validation(tmp_path, capsys):

@@ -76,12 +76,8 @@ def _returns_or_raises_config_error(parser, doc):
 
 def _builds_or_raises_config_error(cfg):
     """Builds the initial data of a parsed config through the check both commands run first."""
-    if isinstance(cfg, dict):  # an mcf-compare config
-        args = cfg["grid"], cfg["m"], cfg["x_modes"], cfg["v_modes"]
-    else:
-        args = cfg.grid, cfg.m, cfg.x_modes, cfg.v_modes
     try:
-        initial_data(*args)
+        initial_data(cfg)
     except ConfigError:
         pass
 

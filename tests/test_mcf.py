@@ -28,8 +28,16 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def sine_graph(N, eps=0.1):
     g = Grid((N,), (TWO_PI,))
-    u, _ = fourier_series([Mode(1, (1,), eps, 0.0)], g, 1)
-    return g, EmbeddingField.from_graph(g, u)
+    return g, graph(g, 1, [Mode(1, (1,), eps, 0.0)])
+
+
+def graph(g, m, modes):
+    return EmbeddingField.from_graph(g, fourier_series(modes, g, m)[0])
+
+
+def accel_errors(g, modes, dts):
+    """acceleration_limit_test on the velocity-free data of one height built from ``modes``, as mcf-compare builds it."""
+    return acceleration_limit_test(solver.initial_fields(g, 1, modes, []), dts, 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,7 @@ def test_step_flat_unchanged():
 
 
 def test_shrinking_circle_matches_exact_radius():
-    thetas, radii = shrinking_circle_radii(256, 1.0, 0.25)
+    thetas, radii = shrinking_circle_radii(256, 1.0, 0.25, 0.1)
     exact = np.sqrt(1.0 - 2.0 * thetas)
     assert np.max(np.abs(radii - exact) / exact) < 0.01
 
@@ -143,7 +151,7 @@ def test_shrinking_circle_matches_exact_radius():
 def test_shrinking_small_circle_steps_by_arclength_spacing():
     # the explicit step is stable up to a multiple of (radius * du)^2, so at
     # radius 0.2 a step of 0.1 du^2 is unstable and 0.1 (radius * du)^2 is not
-    thetas, radii = shrinking_circle_radii(256, 0.2, 0.016)
+    thetas, radii = shrinking_circle_radii(256, 0.2, 0.016, 0.1)
     exact = np.sqrt(0.2**2 - 2.0 * thetas)
     assert np.max(np.abs(radii - exact) / exact) <= 1e-2
 
@@ -157,8 +165,7 @@ def test_circle_radius_rate():
 
 
 def test_graph_sine_amplitude_decays_exponentially():
-    g = Grid((128,), (TWO_PI,))
-    thetas, amps = graph_amplitude_decay(g, 1, [Mode(1, (1,), 0.1, 0.0)], 0.5)
+    thetas, amps = graph_amplitude_decay(sine_graph(128)[1], 0.5, 0.1)
     assert amps[-1] / amps[0] == pytest.approx(math.exp(-thetas[-1]), rel=2e-3)
 
 
@@ -168,22 +175,20 @@ def test_graph_sine_amplitude_decays_exponentially():
 
 def test_acceleration_flat_graph_zero():
     g = Grid((64,), (TWO_PI,))
-    assert acceleration_limit_test(g, 1, [Mode(1, (1,), 0.0, 0.0)], 1e-2) < 1e-10
+    assert accel_errors(g, [Mode(1, (1,), 0.0, 0.0)], [1e-2])[0] < 1e-10
 
 
 def test_acceleration_error_is_second_order_in_dt():
     g = Grid((512,), (TWO_PI,))
     modes = [Mode(1, (1,), 0.1, 0.0)]
-    e1 = acceleration_limit_test(g, 1, modes, 4e-3)
-    e2 = acceleration_limit_test(g, 1, modes, 2e-3)
+    e1, e2 = accel_errors(g, modes, [4e-3, 2e-3])
     assert e1 / e2 == pytest.approx(4.0, rel=0.15)
 
 
 def test_acceleration_multi_mode_graph():
     g = Grid((256,), (TWO_PI,))
     modes = [Mode(1, (1,), 0.08, 0.2), Mode(1, (2,), 0.03, 1.1)]
-    e1 = acceleration_limit_test(g, 1, modes, 4e-3)
-    e2 = acceleration_limit_test(g, 1, modes, 2e-3)
+    e1, e2 = accel_errors(g, modes, [4e-3, 2e-3])
     assert math.log2(e1 / e2) > 1.6
 
 
@@ -214,7 +219,14 @@ def test_metric_energy_identity_along_flow():
 def test_acceleration_rejects_bad_dt():
     g = Grid((64,), (TWO_PI,))
     with pytest.raises(solver.ConfigError):
-        acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 0.0)
+        accel_errors(g, [Mode(1, (1,), 0.1, 0.0)], [0.0])
+
+
+def test_acceleration_rejects_initial_velocity():
+    g = Grid((64,), (TWO_PI,))
+    data = solver.initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (1,), 0.05, 0.0)])
+    with pytest.raises(solver.ConfigError, match="velocity-free"):
+        acceleration_limit_test(data, [1e-3], 0.4)
 
 
 def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
@@ -233,7 +245,7 @@ def test_march_blowup_reports_theta_of_failing_step(monkeypatch):
     du = circle_embedding(64, 1.0).grid.spacing[0]
     dtheta = 0.25 / math.ceil(0.25 / (0.1 * du))
     with pytest.raises(solver.BlowUpError) as info:
-        shrinking_circle_radii(64, 1.0, 0.25)
+        shrinking_circle_radii(64, 1.0, 0.25, 0.1)
     assert info.value.t == 3 * dtheta
     assert f"t={3 * dtheta:.6g}" in str(info.value)
 
@@ -244,7 +256,7 @@ def test_acceleration_blowup_reports_substep_time(monkeypatch):
     monkeypatch.setattr(solver, "rhs_augmented", lambda fld, out: np.multiply(real(fld, out), math.nan, out=out))
     g = Grid((64,), (TWO_PI,))
     with pytest.raises(solver.BlowUpError) as info:
-        acceleration_limit_test(g, 1, [Mode(1, (1,), 0.1, 0.0)], 1e-3)
+        accel_errors(g, [Mode(1, (1,), 0.1, 0.0)], [1e-3])
     assert info.value.t == 1e-3 / 2
     assert info.value.reason == "non-finite state in RK stage 1: tau at grid index [0]"
 
@@ -270,11 +282,10 @@ def test_step_is_second_order_in_dtheta(E):
 
 
 def test_flows_end_on_theta_end():
-    g = Grid((64,), (TWO_PI,))
     for theta_end in (0.1, 0.25, 0.3, 1e-7):
         for thetas, _ in (
-            shrinking_circle_radii(64, 1.0, theta_end),
-            graph_amplitude_decay(g, 1, [Mode(1, (1,), 0.1, 0.0)], theta_end),
+            shrinking_circle_radii(64, 1.0, theta_end, 0.1),
+            graph_amplitude_decay(sine_graph(64)[1], theta_end, 0.1),
         ):
             assert thetas[-1] == theta_end
             assert np.all(np.diff(thetas) > 0)
@@ -285,7 +296,7 @@ def test_circle_error_is_scale_invariant():
     # X -> s X with theta -> s^2 theta maps one flow onto the other step for step
     errs = []
     for radius, theta_end in ((0.2, 0.016), (1.0, 0.4)):
-        thetas, radii = shrinking_circle_radii(256, radius, theta_end)
+        thetas, radii = shrinking_circle_radii(256, radius, theta_end, 0.1)
         exact = np.sqrt(radius**2 - 2.0 * thetas)
         errs.append(float(np.max(np.abs(radii - exact) / exact)))
     assert errs[0] == pytest.approx(errs[1], rel=1e-9)
@@ -295,10 +306,9 @@ def test_circle_error_is_scale_invariant():
 def test_graph_n2_agrees_with_explicit_steps():
     g = Grid((32, 32), (TWO_PI, TWO_PI))
     modes = [Mode(1, (1, 0), 0.1, 0.0), Mode(1, (0, 1), 0.1, 0.5), Mode(1, (1, 1), 0.05, 1.0)]
-    u, _ = fourier_series(modes, g, 1)
-    E = EmbeddingField.from_graph(g, u)
+    E = graph(g, 1, modes)
     theta = 0.1
-    thetas, amps = graph_amplitude_decay(g, 1, modes, theta)
+    thetas, amps = graph_amplitude_decay(E, theta, 0.1)
     imex = _flow(E, theta, len(thetas) - 1)
     steps = math.ceil(theta / (0.01 * min(g.spacing) ** 2))
     X = E
@@ -319,7 +329,7 @@ def test_large_step_factor_stays_finite_and_bounded():
         (Grid((512,), (TWO_PI,)), 1, [Mode(1, (1,), 0.1, 0.0), Mode(1, (5,), 0.05, 0.0)]),
         (Grid((32, 32), (TWO_PI, TWO_PI)), 2, [Mode(1, (1, 0), 0.5, 0.0), Mode(2, (3, 2), 0.3, 0.5)]),
     ):
-        thetas, amps = graph_amplitude_decay(g, m, modes, 0.5, 10.0)
+        thetas, amps = graph_amplitude_decay(graph(g, m, modes), 0.5, 10.0)
         assert len(thetas) >= 2 and np.all(np.isfinite(amps)) and np.all(amps[1:] <= amps[0])
 
 
