@@ -365,8 +365,10 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
     fld, oracle, _ = initial_data(cfg)
     out_dir = _output_dir(output_dir, cfg["output_dir"])
+    # the keys that size the run: its steps, and the snapshots it keeps when there are any
+    keys = "config.scheme.cfl, config.t_end" + (", config.snapshot_cadence" if cfg["snapshot_cadence"] else "")
     try:
-        with _naming("config.scheme.cfl, config.t_end"):
+        with _naming(keys):
             result = solver.run(
                 fld,
                 t_end=cfg["t_end"],

@@ -8,7 +8,11 @@ with A_j symmetric and linear in W.  Two independent transcriptions of the
 same four evolution equations live here:
 
 * ``_direct_terms`` walks the equations term by term and powers the
-  right-hand-side evaluation (pointwise and on grids);
+  right-hand-side evaluation (pointwise and on grids).  It leaves out the two
+  kinds of term pairs that cancel exactly: in a v_i row, for i in I, the swap
+  of column i with itself against the gradient of m_{A,I}^2; in an m_{A,I}
+  row, for j in I, the velocity coupling with j = i against the compression
+  -m_{A,I} d_j v_j.  No two of its terms share a product;
 * ``_symmetric_triplets`` builds the matrices A_j row/column-pairwise, so
   symmetry is a property of the construction, not a numerical accident.
 
@@ -63,37 +67,41 @@ def _direct_terms(m: int, n: int) -> tuple[tuple[int, int, int, int, int], ...]:
                 T.append((ds(alpha), sl(Acut, Icut), sl(A, I), i, s))
 
     # v equations: column-swap couplings, the gradient of the squared minors
-    # (tau included), and advection
+    # (tau included), and advection.  For i in I the swap of column i with
+    # itself, +m_{A,I} d_i m_{A,I}, cancels that minor's gradient term
+    # -m_{A,I} d_i m_{A,I} exactly (swaps with j != i repeat a column and
+    # vanish), so neither is written: only the minors with i outside I remain
     for i in range(1, n + 1):
-        for A, I in lay._raw:
+        outside = [(A, I) for A, I in lay._raw if i not in I]
+        for A, I in outside:
             for j in I:
-                if i in I and i != j:
-                    continue
                 Icut = tuple(x for x in I if x != j)
                 s = _sign(_rank(I, j) + _rank(Icut, i))
                 swapped = tuple(sorted(Icut + (i,)))
                 T.append((vs(i), sl(A, swapped), sl(A, I), j, s))
-        for A, I in lay._raw:
+        for A, I in outside:
             T.append((vs(i), sl(A, I), sl(A, I), i, -1))
         T.append((vs(i), 0, 0, i, -1))
         for j in range(1, n + 1):
             T.append((vs(i), vs(j), vs(i), j, 1))
 
-    # minor equations: advection, velocity couplings, and momentum couplings
+    # minor equations: advection, velocity couplings, and momentum couplings.
+    # For j in I the velocity coupling with j = i, +m_{A,I} d_j v_j, cancels
+    # the compression term -m_{A,I} d_j v_j exactly (j != i in I repeats a
+    # column and vanishes), so both run over the columns j outside I only
     for A, I in lay._raw:
         row = sl(A, I)
+        free = [j for j in range(1, n + 1) if j not in I]
         for j in range(1, n + 1):
             T.append((row, vs(j), row, j, 1))
         for i in I:
             si = _rank(I, i)
             Icut = tuple(x for x in I if x != i)
-            for j in range(1, n + 1):
-                if j in I and j != i:
-                    continue
+            for j in free:
                 s = _sign(_rank(Icut, j) + si)
                 swapped = tuple(sorted(Icut + (j,)))
                 T.append((row, sl(A, swapped), vs(j), i, s))
-        for j in range(1, n + 1):
+        for j in free:
             T.append((row, row, vs(j), j, -1))
         for alpha in A:
             sa = _rank(A, alpha)

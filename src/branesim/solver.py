@@ -45,7 +45,8 @@ from .state import (
 
 
 # the most points one grid holds (1024^2): a run's peak arrays, about ten full states
-# of at most 15 rows (m = 3, n = 2), then take about 1.2 GiB; MAX_STEPS bounds the steps
+# of at most 15 rows (m = 3, n = 2), then take about 1.2 GiB; MAX_STEPS bounds the steps,
+# and the snapshots a run keeps may hold as many values as those ten states (see run)
 MAX_POINTS = 2**20
 
 
@@ -550,7 +551,9 @@ def run(
     ``march`` takes equal steps, bounded by the CFL bound at t = 0, that land
     exactly on t_end.  Diagnostics rows are emitted at t = 0, every output
     cadence, and at the end; a blow-up, in a step or in a row, aborts with
-    the rows and snapshots before it attached to the raised error.
+    the rows and snapshots before it attached to the raised error.  Snapshots
+    that would hold more values than the peak arrays MAX_POINTS allows raise
+    ConfigError before the first step.
     """
     fld = fld.copy()
     dt_max = cfl_dt(fld, cfl)
@@ -558,6 +561,15 @@ def run(
     # a cadence beyond t_end means "at the end only"; capping it keeps cadence / dt finite
     out_every = steps if output_cadence <= 0 else max(1, round(min(output_cadence, t_end) / dt))
     snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
+    # every snapshot is a copy of the field kept until the run returns: the one at t = 0,
+    # one every snap_every steps and the last
+    kept = 0 if snap_every is None else -(-steps // snap_every) + 1
+    budget = 10 * 15 * MAX_POINTS
+    if kept * fld.values.size > budget:
+        raise ConfigError(
+            f"{kept} snapshots of {fld.values.size} values exceed the budget of {budget} values"
+            f" (ten 15-row states of {MAX_POINTS} points); take them less often"
+        )
     rows, snapshots = [], []
     n, dim = fld.grid.n, fld.layout.state_dim
 

@@ -339,6 +339,34 @@ def test_simulate_rejects_snapshots_that_share_a_file_name(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("snapshot_*.json"))
 
 
+def test_simulate_rejects_snapshots_past_the_memory_budget(tmp_path, capsys, monkeypatch):
+    # snapshots are kept until the run ends; a cadence that plans more of them than
+    # ten 15-row states of MAX_POINTS points hold exits 2 before the first step.  The
+    # flat string takes 13 steps to t_end = 1: a snapshot every step keeps 14 copies
+    path = flat_config(tmp_path, t_end=1.0, snapshot_cadence=1e-3)
+    real = cli.initial_data
+
+    def then_shrink(cfg):
+        built = real(cfg)  # the grid is checked against the full budget first
+        monkeypatch.setattr(solver, "MAX_POINTS", 8)  # 1200 values: nine snapshots of 4 x 32 values
+        return built
+
+    monkeypatch.setattr(cli, "initial_data", then_shrink)
+    monkeypatch.setattr(solver, "rk4_step", lambda *args: pytest.fail("the run took a step"))
+    assert_rejected(
+        ["simulate", str(path)],
+        "config.scheme.cfl, config.t_end, config.snapshot_cadence: 14 snapshots of 128 values exceed the budget of 1200",
+        capsys,
+    )
+    assert not list((tmp_path / "out").iterdir())
+    # six fit: one every third step, and the last
+    path = flat_config(tmp_path, t_end=1.0, snapshot_cadence=0.25)
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "initial_data", then_shrink)
+    assert main(["simulate", str(path)]) == 0
+    assert len(list((tmp_path / "out").glob("snapshot_*.json"))) == 6
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff\xfe{"m": 1}')
@@ -877,6 +905,14 @@ def test_every_function_the_benchmark_traces_exists():
         if not callable(getattr(importlib.import_module(f"branesim.{mod}"), fn, None))
     ]
     assert "minors" in layers and missing == []
+    # the term counter calls flux._direct_terms itself, outside LAYERS: one row a term, per point
+    spec = importlib.util.spec_from_file_location("spans", CONFIG_DIR.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    grid = solver.Grid((8, 9), (1.0, 1.0))
+    for m, n, terms in ((1, 2, 28), (3, 2, 94)):
+        fld, _, _ = solver.initial_fields(grid, m, [], [])
+        assert spans._point_terms(fld) == terms * 72
 
 
 def _raise(exc):

@@ -75,7 +75,7 @@ def test_assemble_A_symmetric_and_linear_exact(shape):
             assert (A3 == a * A1 + b * A2).all()
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
 def test_rhs_point_matches_matrix_assembly_exactly(shape):
     m, n = shape
     lay = enumerate_layout(m, n)
@@ -93,6 +93,18 @@ def test_rhs_point_matches_matrix_assembly_exactly(shape):
             for p in range(lay.state_dim):
                 want[p] -= sum(Aj[p, q] * grads[j - 1][q] for q in range(lay.state_dim))
         assert got == want
+
+
+def test_no_direct_term_cancels_another():
+    # the pairs of equation terms that cancel exactly are left out of the table, so every
+    # product W[coeff] d_axis W[deriv] of a row appears once, with a sign of +-1
+    for m in range(1, 4):
+        for n in range(1, 4):
+            terms = flux._direct_terms(m, n)
+            keys = [t[:4] for t in terms]
+            assert len(set(keys)) == len(keys), (m, n)
+            assert {t[4] for t in terms} <= {1, -1}, (m, n)
+    assert [len(flux._direct_terms(m, n)) for m, n in ((1, 1), (1, 2), (3, 2))] == [8, 28, 94]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3)])
