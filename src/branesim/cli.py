@@ -27,7 +27,7 @@ from .solver import Grid, Mode
 from .state import EPS_SINGULAR, BlowUpError, PrimitiveState
 
 DEFAULT_VERIFY_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
-# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes about 0.6 s (2-core Xeon), 8x8 far longer
+# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes 0.2-0.3 s (2-core Xeon), 8x8 far longer
 MAX_VERIFY_DIM = 6
 
 
@@ -247,9 +247,14 @@ def _rand_matrix(rng: random.Random, m: int, n: int) -> list[list[Fraction]]:
     return [[_rand_fraction(rng) for _ in range(n)] for _ in range(m)]
 
 
+def _scale(F) -> int:
+    """L, the lcm of the denominators of F's entries."""
+    return math.lcm(*(x.denominator for row in F for x in row))
+
+
 def _cleared(F) -> list[list[int]]:
-    """L·F as plain ints, where L is the lcm of the denominators of F's entries."""
-    L = math.lcm(*(x.denominator for row in F for x in row))
+    """L·F as plain ints, where L = _scale(F)."""
+    L = _scale(F)
     return [[x.numerator * (L // x.denominator) for x in row] for row in F]
 
 
@@ -285,24 +290,25 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
         for _ in range(samples):
             F = _rand_matrix(rng, m, n)
             payload = [[str(x) for x in row] for row in F]
-            mv = minors.all_minors(F, layout)
-
-            # xi, xi' and Z carry the I_n of I + FᵀF, so they are not homogeneous
-            # in F and stay on the drawn Fractions
-            ok = minors.xi(F) == minors.xi_minor_sum(mv, layout)
-            record("xi", ok, (m, n), payload)
-
-            ok = minors.xi_prime(F) == minors.xi_prime_minor_sum(mv, layout)
-            record("xi_prime", ok, (m, n), payload)
-
-            ok = minors.z_matrix(F) == minors.z_minor_sum(mv, layout)
-            record("z_matrix", ok, (m, n), payload)
-
-            # Both sides of the Laplace identity have degree k in F, and both
-            # sides of Cauchy–Binet degree k in M and in N, so on L·F (L >= 1)
-            # they scale alike and pass or fail exactly as on F, in ints.
+            # Every suite runs on G = L·F in ints. Both sides of the Laplace identity
+            # have degree k in F, so they scale alike. The xi, xi' and Z identities carry
+            # the I_n of I + FᵀF, so both of their sides take the scale L and come out
+            # as L^{2n} xi, L^{2n-1} xi' and (times L² on the adjugate side) L^{2n} Z.
+            # Since L >= 1, each suite passes or fails exactly as on F.
+            L = _scale(F)
             G = _cleared(F)
             mG = minors.all_minors(G, layout)
+
+            ok = minors.xi(G, L) == minors.xi_minor_sum(mG, layout, L)
+            record("xi", ok, (m, n), payload)
+
+            ok = minors.xi_prime(G, L) == minors.xi_prime_minor_sum(mG, layout, L)
+            record("xi_prime", ok, (m, n), payload)
+
+            Z = [[L * L * z for z in row] for row in minors.z_matrix(G, L)]
+            ok = Z == minors.z_minor_sum(mG, layout, L)
+            record("z_matrix", ok, (m, n), payload)
+
             ok3 = all(
                 minors.laplace_mixed(G, A, I, q, j) == (0 if slot is None else s * mG[slot])
                 for A, I, q, j, s, slot in laplace_cases
@@ -312,6 +318,7 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
             l = rng.randint(1, 3)
             M = _rand_matrix(rng, m, l)
             N = _rand_matrix(rng, l, n)
+            # both sides of Cauchy–Binet have degree k in M and in N
             Mi, Ni = _cleared(M), _cleared(N)
             okcb = True
             for k in range(0, min(m, n, l) + 1):
@@ -596,6 +603,8 @@ def main(argv=None) -> int:
                 m, n = int(m), int(n)
                 if not (1 <= m <= MAX_VERIFY_DIM and 1 <= n <= MAX_VERIFY_DIM):
                     raise ConfigError(f"--shapes: {token.strip()!r} needs m and n in [1, {MAX_VERIFY_DIM}]")
+                if (m, n) in shapes:
+                    raise ConfigError(f"--shapes: {m}x{n} is repeated; list each shape once")
                 shapes.append((m, n))
             if args.samples < 0:
                 raise ConfigError("--samples must be >= 0")

@@ -245,9 +245,11 @@ def rk4_step(y: np.ndarray, dt: float, rhs, out=None, work=None, names=None) -> 
 def max_wave_speed(fld: GridField) -> float:
     """Largest |eigenvalue| of the flux matrices over grid points and axes.
 
-    For every W, on the constraint manifold or off it, the spectrum of A_j(W)
+    For n <= 2, on the constraint manifold or off it, the spectrum of A_j(W)
     is {v_j, v_j +/- sigma_j} with sigma_j^2 = tau^2 + sum over alpha and
     i != j of m_{alpha,i}^2, so the largest |eigenvalue| is |v_j| + sigma_j.
+    It fails for n = 3: at (m, n) = (2, 3) and (3, 3) the true spectral radius
+    is larger. Grid refuses n > 2, so no run reaches that case.
     """
     W = fld.state_view()
     lay = W.layout

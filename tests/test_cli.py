@@ -90,6 +90,8 @@ def test_verify_rejects_bad_shape_token(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_verify", not_reached)
     for token in ("2xx", "1x\u00b2", "0x2", "2x0", "7x1", "1x7", "20x20", "1x1,6x7"):
         assert_rejected(["verify", "--shapes", token], "--shapes", capsys)
+    # a repeated shape would run and count twice
+    assert_rejected(["verify", "--shapes", "1x1,2x1, 1x1"], "--shapes: 1x1 is repeated", capsys)
     monkeypatch.undo()
     assert main(["verify", "--samples", "0", "--shapes", "6x6,1x6"]) == 0
 
@@ -113,7 +115,11 @@ def test_verify_report_bytes_are_pinned():
 PLANTED = {
     "laplace_mixed": "laplace_mixed",
     "cauchy_binet_check": "cauchy_binet",
+    "xi": "xi",
+    "xi_minor_sum": "xi",
+    "xi_prime": "xi_prime",
     "xi_prime_minor_sum": "xi_prime",
+    "z_matrix": "z_matrix",
     "z_minor_sum": "z_matrix",
 }
 
@@ -135,6 +141,8 @@ def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
             return out + 1
         if fault == "cauchy_binet_check":
             return out[0], out[1] + 1
+        if fault in ("xi", "xi_minor_sum"):
+            return out + 1
         out[0][0] = out[0][0] + 1
         return out
 
@@ -170,6 +178,28 @@ def test_a_flipped_sign_in_a_minor_sum_table_fails_its_identity(monkeypatch, tab
     report = cmd_verify(shapes=[(2, 2), (3, 2)], samples=4, seed=5)
     assert report.passes[identity]["fail"] > 0
     assert all(v["fail"] == 0 for k, v in report.passes.items() if k != identity)
+
+
+def test_verify_hands_the_minors_layer_only_ints(monkeypatch):
+    # the drawn Fractions must not reach either side of an identity: every suite runs on L·F
+    spied = ("xi", "xi_prime", "z_matrix", "all_minors", "xi_minor_sum", "xi_prime_minor_sum", "z_minor_sum")
+    seen = {name: [] for name in spied}
+
+    def spy(name, real):
+        def wrapped(first, *rest):
+            seen[name].append(first)
+            return real(first, *rest)
+
+        return wrapped
+
+    for name in spied:
+        monkeypatch.setattr(minors, name, spy(name, getattr(minors, name)))
+    report = cmd_verify(shapes=[(1, 1), (2, 2), (3, 2)], samples=3, seed=5)
+    assert report.all_passed()
+    for name in ("xi", "xi_prime", "z_matrix", "all_minors"):
+        assert seen[name] and all(type(x) is int for F in seen[name] for row in F for x in row), name
+    for name in ("xi_minor_sum", "xi_prime_minor_sum", "z_minor_sum"):
+        assert seen[name] and all(type(x) is int for mv in seen[name] for x in mv), name
 
 
 def test_verify_passes_on_shapes_past_the_defaults():
