@@ -76,11 +76,11 @@ def _integer(x, where: str, lo: int | None = None, hi: int | None = None) -> int
 
 
 @contextmanager
-def _naming(keys: str):
-    """Prefix a ConfigError with the config keys behind it, such as those that size a march (solver.plan_steps)."""
+def _naming(keys: str, errors=ConfigError):
+    """Re-raise errors (a ConfigError, or an output write's OSError) as a ConfigError prefixed with the keys behind them."""
     try:
         yield
-    except ConfigError as exc:
+    except errors as exc:
         raise ConfigError(f"{keys}: {exc}") from None
 
 
@@ -341,25 +341,12 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
 # simulate
 
 
-def _output_dir(flag: str | None, configured: str) -> Path:
-    """The --output-dir flag if given ("" is "."), else config.output_dir; made first, so a bad path exits 2 early."""
-    out_dir = Path(configured if flag is None else flag)
-    try:
+def _output_dir(flag: str | None, configured: str) -> tuple[Path, str]:
+    """(directory, key): the --output-dir flag if given ("" is "."), else config.output_dir; made first, so it exits 2 early."""
+    out_dir, key = (Path(configured), "config.output_dir") if flag is None else (Path(flag), "--output-dir")
+    with _naming(key, OSError):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        where = "config.output_dir" if flag is None else "--output-dir"
-        raise ConfigError(f"{where}: cannot create directory {out_dir} ({exc.strerror or exc})") from None
-    return out_dir
-
-
-def _write_run(out_dir: Path, rows, snapshots):
-    """diagnostics.csv and the snapshots; nothing if two snapshot times share a file name."""
-    names = [f"snapshot_t{t:.6f}.json" for t, _ in snapshots]
-    if len(set(names)) < len(names):
-        raise ConfigError("config.snapshot_cadence: two snapshot times format to one file name; keep them over 1e-6 apart")
-    (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(rows))
-    for name, (_, snap) in zip(names, snapshots):
-        (out_dir / name).write_text(solver.snapshot_to_json(snap))
+    return out_dir, key
 
 
 def initial_data(cfg: dict):
@@ -371,27 +358,29 @@ def initial_data(cfg: dict):
 def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     cfg = parse_run_config(load_json(config_path))
     fld, oracle, _ = initial_data(cfg)
-    out_dir = _output_dir(output_dir, cfg["output_dir"])
-    # the keys that size the run: its steps, and the snapshots it keeps when there are any
+    out_dir, key = _output_dir(output_dir, cfg["output_dir"])
+    # the keys that size the run: its steps, and the snapshot times when there are any.  A
+    # snapshot is written during the run; its OSError passes the inner _naming to name the output directory
     keys = "config.scheme.cfl, config.t_end" + (", config.snapshot_cadence" if cfg["snapshot_cadence"] else "")
-    try:
-        with _naming(keys):
-            result = solver.run(
-                fld,
-                t_end=cfg["t_end"],
-                cfl=cfg["cfl"],
-                output_cadence=cfg["output_cadence"],
-                oracle=oracle if cfg["oracle_compare"] else None,
-                snapshot_cadence=cfg["snapshot_cadence"],
-            )
-    except BlowUpError as exc:
-        _write_run(out_dir, exc.rows, exc.snapshots)
-        print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}; {exc.reason}", file=sys.stderr)
-        return 3
-    _write_run(out_dir, result.rows, result.snapshots)
-    last = result.rows[-1]
+    with _naming(key, OSError):
+        try:
+            with _naming(keys):
+                rows = solver.run(
+                    fld,
+                    t_end=cfg["t_end"],
+                    cfl=cfg["cfl"],
+                    output_cadence=cfg["output_cadence"],
+                    oracle=oracle if cfg["oracle_compare"] else None,
+                    snapshot_cadence=cfg["snapshot_cadence"],
+                    on_snapshot=lambda t, snap: (out_dir / solver.snapshot_name(t)).write_text(solver.snapshot_to_json(snap)),
+                ).rows
+        except BlowUpError as exc:
+            (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(exc.rows))
+            print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}; {exc.reason}", file=sys.stderr)
+            return 3
+        (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(rows))
     names = ("t", "lambda_Linf", "omega_Linf", "phi_Linf", "psi_Linf", "sigma_Linf")
-    print("final " + " ".join(f"{name}={solver._fmt(getattr(last, name))}" for name in names))
+    print("final " + " ".join(f"{name}={solver._fmt(getattr(rows[-1], name))}" for name in names))
     return 0
 
 
@@ -523,7 +512,7 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
     # one build serves the acceleration comparison at every dt and the graph flow
     data = initial_data(cfg)
     u0 = data[2]
-    out_dir = _output_dir(output_dir, cfg["output_dir"])
+    out_dir, key = _output_dir(output_dir, cfg["output_dir"])
     lines = ["t,err_acceleration_Linf,tangency_residual,radius_or_amplitude"]
 
     E0 = mcf.EmbeddingField.from_graph(cfg["grid"], u0)
@@ -554,7 +543,8 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
         for k in _sampled_rows(len(thetas)):
             lines.append(",".join([solver._fmt(thetas[k]), "", solver._fmt(tan0), solver._fmt(amps[k])]))
 
-    (out_dir / "mcf_compare.csv").write_text("\n".join(lines) + "\n")
+    with _naming(key, OSError):
+        (out_dir / "mcf_compare.csv").write_text("\n".join(lines) + "\n")
     # stdout only once every march has run, so a flow that exits 2 leaves none
     print(order_line)
     print(f"comparison written to {out_dir / 'mcf_compare.csv'}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations, pairwise
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .state import (
 
 
 # the most points one grid holds (1024^2): a run's peak arrays, about ten full states
-# of at most 15 rows (m = 3, n = 2), then take about 1.2 GiB; MAX_STEPS bounds the steps,
-# and the snapshots a run keeps may hold as many values as those ten states (see run)
+# of at most 15 rows (m = 3, n = 2), then take about 1.2 GiB; MAX_STEPS bounds the steps
 MAX_POINTS = 2**20
 
 
@@ -497,7 +496,6 @@ def march(state, t_end: float, dt_max: float, step, *, min_steps: int = 1, after
 @dataclass
 class RunResult:
     rows: list
-    snapshots: list
     field: GridField
     dt: float
     steps: int
@@ -514,7 +512,7 @@ def _snapshot(fld: GridField, t: float) -> dict:
         "lengths": list(fld.grid.lengths),
         "layout": [[list(A), list(I)] for A, I in lay._raw],
         "components": _component_names(lay),
-        "values": fld.values.copy(),
+        "values": fld.values,
     }
 
 
@@ -547,14 +545,17 @@ def run(
     output_cadence: float = 0.0,
     oracle=None,
     snapshot_cadence: float | None = None,
+    on_snapshot=lambda t, snap: None,
 ) -> RunResult:
     """Evolve the augmented field (and optionally the oracle) to t_end.
 
     ``march`` takes equal steps, bounded by the CFL bound at t = 0, that land
     exactly on t_end.  Diagnostics rows are emitted at t = 0, every output
     cadence, and at the end; a blow-up, in a step or in a row, aborts with
-    the rows and snapshots before it attached to the raised error.  Snapshots
-    that would hold more values than the peak arrays MAX_POINTS allows raise
+    the rows before it attached to the raised error.  Snapshots, likewise at
+    t = 0, every snapshot cadence and the end, go to on_snapshot(t, snap) as
+    each is taken; snap["values"] is a view of the live state, valid only
+    during the call.  Snapshot times that share a snapshot_name raise
     ConfigError before the first step.
     """
     fld = fld.copy()
@@ -563,16 +564,12 @@ def run(
     # a cadence beyond t_end means "at the end only"; capping it keeps cadence / dt finite
     out_every = steps if output_cadence <= 0 else max(1, round(min(output_cadence, t_end) / dt))
     snap_every = None if snapshot_cadence is None else max(1, round(min(snapshot_cadence, t_end) / dt))
-    # every snapshot is a copy of the field kept until the run returns: the one at t = 0,
-    # one every snap_every steps and the last
-    kept = 0 if snap_every is None else -(-steps // snap_every) + 1
-    budget = 10 * 15 * MAX_POINTS
-    if kept * fld.values.size > budget:
-        raise ConfigError(
-            f"{kept} snapshots of {fld.values.size} values exceed the budget of {budget} values"
-            f" (ten 15-row states of {MAX_POINTS} points); take them less often"
-        )
-    rows, snapshots = [], []
+    # the snapshot times as after() sees them; names grow with t, so only neighbours can clash
+    times = () if snap_every is None else chain((k * dt for k in range(0, steps, snap_every)), (t_end,))
+    for a, b in pairwise(map(snapshot_name, times)):
+        if a == b:
+            raise ConfigError(f"two snapshot times format to one file name, {a}; keep them over 1e-6 apart")
+    rows = []
     n, dim = fld.grid.n, fld.layout.state_dim
 
     # one array steps both systems: W's rows, then the oracle's packed (F, D) rows when
@@ -611,14 +608,14 @@ def run(
             rows.append(diagnostics(fld, t, _unpacked(y[dim:], n) if len(y) > dim else None, buffers[0][:dim]))
             primed = True
         if snap_every is not None and (k % snap_every == 0 or k == steps):
-            snapshots.append((t, _snapshot(fld, t)))
+            on_snapshot(t, _snapshot(fld, t))
 
     try:
         march(start, t_end, dt_max, step, after=after)
     except BlowUpError as exc:
-        exc.rows, exc.snapshots = rows, snapshots
+        exc.rows = rows
         raise
-    return RunResult(rows, snapshots, fld, dt, steps)
+    return RunResult(rows, fld, dt, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +647,11 @@ def _json_rows(a: np.ndarray, level: int) -> str:
     else:
         body = ("," + inner).join(_json_rows(row, level + 1) for row in a)
     return "".join(("[", inner, body, "\n", " " * level, "]"))
+
+
+def snapshot_name(t: float) -> str:
+    """The file name of the snapshot at t."""
+    return f"snapshot_t{t:.6f}.json"
 
 
 def snapshot_to_json(snap: dict) -> str:

@@ -46,7 +46,6 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.reason = reason
         self.rows = rows or []
-        self.snapshots = []
 
 
 @dataclass

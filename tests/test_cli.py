@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -359,42 +360,73 @@ def test_simulate_guard_in_a_diagnostics_row_exits_3_with_the_rows_before_it(tmp
     assert sorted(p.name for p in (tmp_path / "out").glob("snapshot_*.json")) == ["snapshot_t0.000000.json"]
 
 
-def test_simulate_rejects_snapshots_that_share_a_file_name(tmp_path, capsys):
-    # one step of 4e-7: the snapshots at t = 0 and t = 4e-7 both format to snapshot_t0.000000.json
+def test_simulate_rejects_snapshots_that_share_a_file_name(tmp_path, capsys, monkeypatch):
+    # one step of 4e-7: the snapshots at t = 0 and t = 4e-7 both format to snapshot_t0.000000.json.
+    # The planned times are checked before the first step, so nothing is written
     cfg = json.loads((CONFIG_DIR / "string_n1.json").read_text())
     cfg.update(t_end=4e-7, snapshot_cadence=1e-7, output_cadence=0, output_dir=str(tmp_path / "out"))
     path = tmp_path / "snap.json"
     path.write_text(json.dumps(cfg))
-    assert_rejected(["simulate", str(path)], "config.snapshot_cadence: two snapshot times format to one file name", capsys)
-    assert not list((tmp_path / "out").glob("snapshot_*.json"))
-
-
-def test_simulate_rejects_snapshots_past_the_memory_budget(tmp_path, capsys, monkeypatch):
-    # snapshots are kept until the run ends; a cadence that plans more of them than
-    # ten 15-row states of MAX_POINTS points hold exits 2 before the first step.  The
-    # flat string takes 13 steps to t_end = 1: a snapshot every step keeps 14 copies
-    path = flat_config(tmp_path, t_end=1.0, snapshot_cadence=1e-3)
-    real = cli.initial_data
-
-    def then_shrink(cfg):
-        built = real(cfg)  # the grid is checked against the full budget first
-        monkeypatch.setattr(solver, "MAX_POINTS", 8)  # 1200 values: nine snapshots of 4 x 32 values
-        return built
-
-    monkeypatch.setattr(cli, "initial_data", then_shrink)
     monkeypatch.setattr(solver, "rk4_step", lambda *args: pytest.fail("the run took a step"))
-    assert_rejected(
-        ["simulate", str(path)],
-        "config.scheme.cfl, config.t_end, config.snapshot_cadence: 14 snapshots of 128 values exceed the budget of 1200",
-        capsys,
-    )
+    assert_rejected(["simulate", str(path)], "config.snapshot_cadence: two snapshot times format to one file name", capsys)
     assert not list((tmp_path / "out").iterdir())
-    # six fit: one every third step, and the last
+
+
+def test_simulate_writes_a_snapshot_every_cadence_and_at_the_end(tmp_path):
+    # the flat string takes 13 steps to t_end = 1: one snapshot every third step, and the last
     path = flat_config(tmp_path, t_end=1.0, snapshot_cadence=0.25)
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "initial_data", then_shrink)
     assert main(["simulate", str(path)]) == 0
     assert len(list((tmp_path / "out").glob("snapshot_*.json"))) == 6
+
+
+def test_an_interrupted_simulate_keeps_the_snapshots_it_took(tmp_path, monkeypatch):
+    # each snapshot is on disk as soon as the run takes it: a run stopped in its third
+    # step leaves those at t = 0 and after steps 1 and 2, byte for byte as a whole run does
+    moving = {
+        "X_modes": [{"component": 1, "wave": [1], "amplitude": 0.1, "phase": 0.0}],
+        "V_modes": [{"component": 1, "wave": [1], "amplitude": 0.05, "phase": 0.7}],
+    }
+    path = flat_config(tmp_path, t_end=1.0, snapshot_cadence=1e-3, initial_data=moving)
+    assert main(["--output-dir", str(tmp_path / "whole"), "simulate", str(path)]) == 0
+    real, calls = solver.rk4_step, []
+
+    def interrupt_third(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(solver, "rk4_step", interrupt_third)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--output-dir", str(tmp_path / "cut"), "simulate", str(path)])
+    cut = sorted((tmp_path / "cut").iterdir())
+    whole = sorted((tmp_path / "whole").glob("snapshot_*.json"))
+    assert [p.name for p in cut] == [p.name for p in whole[:3]]
+    assert [p.read_bytes() for p in cut] == [p.read_bytes() for p in whole[:3]]
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("simulate", "diagnostics.csv"),
+        ("simulate", "snapshot_t0.000000.json"),
+        ("simulate", "snapshot_t0.153846.json"),
+        ("mcf-compare", "mcf_compare.csv"),
+    ],
+)
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked, flag):
+    # an output file name taken by a directory: one line naming the file and the output
+    # directory's key, with no traceback.  Snapshots are written during the run, yet their
+    # line does not name the keys that size it
+    config = flat_config(tmp_path, t_end=1.0, snapshot_cadence=0.15) if command == "simulate" else mcf_config(tmp_path)
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    assert main((["--output-dir", str(tmp_path / "out")] if flag else []) + [command, str(config)]) == 2
+    out, err = capsys.readouterr()
+    key = "--output-dir" if flag else "config.output_dir"
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+    assert out == "" and err == f"error: {key}: {reason}: '{tmp_path / 'out' / blocked}'\n"
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

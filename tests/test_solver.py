@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -669,19 +670,48 @@ def test_turning_the_oracle_on_changes_no_byte_of_the_field():
     g = Grid((16, 12), (TWO_PI, 5.0))
     X = [Mode(1, (1, 0), 0.1, 0.0), Mode(2, (0, 1), 0.1, 0.5)]
     fld, ora, _ = initial_fields(g, 2, X, [Mode(2, (1, 1), 0.05, 0.3)])
-    runs = [run(fld, t_end=1.0, cfl=0.4, output_cadence=0.25, snapshot_cadence=0.5, oracle=o) for o in (None, ora)]
-    (csv, snaps, values), (csv_o, snaps_o, values_o) = (
-        (
-            [line.split(",")[:8] for line in solver.rows_to_csv(r.rows).splitlines()],
-            [solver.snapshot_to_json(s) for _, s in r.snapshots],
-            r.field.values,
+    # a snapshot's values are a view of the live state, so each is serialised as it is taken
+    snaps, snaps_o = [], []
+    runs = [
+        run(
+            fld,
+            t_end=1.0,
+            cfl=0.4,
+            output_cadence=0.25,
+            snapshot_cadence=0.5,
+            oracle=o,
+            on_snapshot=lambda t, snap, texts=texts: texts.append(solver.snapshot_to_json(snap)),
         )
-        for r in runs
+        for o, texts in ((None, snaps), (ora, snaps_o))
+    ]
+    (csv, values), (csv_o, values_o) = (
+        ([line.split(",")[:8] for line in solver.rows_to_csv(r.rows).splitlines()], r.field.values) for r in runs
     )
     assert runs[0].steps > 4 and len(csv) == 6 and len(snaps) == 3
     assert csv == csv_o and snaps == snaps_o and values.tobytes() == values_o.tobytes()
     # the oracle columns are filled only when the oracle runs
     assert runs[0].rows[-1].oracle_F_err_Linf is None and runs[1].rows[-1].oracle_F_err_Linf < 1e-3
+
+
+def test_a_snapshot_every_step_keeps_none_of_them_alive():
+    # run hands each snapshot to on_snapshot as a view and keeps no copy, so the traced
+    # peak (numpy reports its buffers to tracemalloc) does not grow with the step count
+    g = Grid((32, 32), (TWO_PI, TWO_PI))
+    fld, _, _ = initial_fields(g, 1, [Mode(1, (1, 0), 0.1, 0.0)], [Mode(1, (0, 1), 0.05, 0.3)])
+    dt = cfl_dt(fld, 0.4)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            res = run(fld, t_end=steps * dt, cfl=0.4, snapshot_cadence=dt, on_snapshot=lambda t, snap: None)
+            return res.steps, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # the first run fills the caches of the term tables
+    (few, few_peak), (many, many_peak) = peak(4), peak(20)
+    assert many >= 4 * few
+    assert abs(many_peak - few_peak) < fld.values.nbytes
 
 
 def test_csv_rows_format():
