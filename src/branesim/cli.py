@@ -117,7 +117,7 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
         {"schema": True, "m": True, "n": True, "grid": True, "initial_data": True, "output_dir": False, **keys},
         "config",
     )
-    if data["schema"] != 1:
+    if _integer(data["schema"], "config.schema") != 1:
         raise ConfigError(f"config.schema: unsupported schema {data['schema']!r}")
     m = _integer(data["m"], "config.m", 1, 3)
     n = _integer(data["n"], "config.n", 1, 2)
@@ -398,7 +398,7 @@ def _state_from_json(data: dict) -> tuple[PrimitiveState, list[float] | None]:
     _require_keys(
         data, {"schema": False, "m": True, "n": True, "state": True, "nu": False}, "state file"
     )
-    if data.get("schema", 1) != 1:
+    if _integer(data.get("schema", 1), "state file.schema") != 1:
         raise ConfigError(f"state file.schema: unsupported schema {data['schema']!r}")
     m, n = _integer(data["m"], "state file.m", 1, 3), _integer(data["n"], "state file.n", 1, 2)
     layout = enumerate_layout(m, n)
@@ -424,21 +424,30 @@ def _state_from_json(data: dict) -> tuple[PrimitiveState, list[float] | None]:
 
 def cmd_characteristics(path: str) -> int:
     W, nu = _state_from_json(load_json(path))
-    n = W.layout.n
+    lay = W.layout
     if nu is None:
-        nu = [0.0] * n
+        nu = [0.0] * lay.n
         nu[0] = 1.0
     # scaling by max |nu| first keeps the squares in the norm from overflowing or underflowing
     nu = np.asarray(nu) / np.max(np.abs(nu))
+    # the speeds are linear in W, and sigma^2 squares tau and (n = 2) the 1x1 minors: scaling
+    # W down by the power of two above them keeps the squares finite and the speeds exact
+    ones = [W.m_minors[lay.slot((a,), (i,))] for a in range(1, lay.m + 1) for i in (1, 2)] if lay.n == 2 else []
+    k = max(0, math.frexp(max([W.tau, *map(abs, ones)]))[1])
+    scaled = PrimitiveState.from_vector([math.ldexp(x, -k) for x in W.as_vector()], lay)
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = flux.wave_speeds(W, nu / np.linalg.norm(nu))
-        res = flux.linear_degeneracy_residual(W) if n == 1 else 0.0
-    if not (np.all(np.isfinite(spectrum)) and math.isfinite(res)):
-        raise ConfigError("state: too large; its spectrum or linear-degeneracy residual is not finite")
-    if n == 1:
-        print("speed multiplicity")
-        for f in flux.char_speeds_n1(W)[2]:
-            print(f"{solver._fmt(f.speed)} {f.multiplicity}")
+        nu = nu / np.linalg.norm(nu)
+        spectrum = flux.wave_speeds(W, nu)
+        res = flux.linear_degeneracy_residual(W) if lay.n == 1 else 0.0
+        c, sigma = flux.char_speeds(scaled, nu)
+        speeds = np.ldexp([c + sigma, c - sigma, c], k)
+    if not np.all(np.isfinite([*spectrum, *speeds, res])):
+        raise ConfigError("state: too large; its speeds, spectrum or linear-degeneracy residual are not finite")
+    print("speed multiplicity")
+    for speed, mult in zip(speeds, (lay.m + 1, lay.m + 1, lay.state_dim - 2 * (lay.m + 1))):
+        if mult > 0:
+            print(f"{solver._fmt(speed)} {mult}")
+    if lay.n == 1:
         print(f"linear_degeneracy_residual {solver._fmt(res)}")
     print("spectrum " + " ".join(solver._fmt(x) for x in spectrum))
     return 0

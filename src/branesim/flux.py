@@ -21,7 +21,6 @@ They are cross-checked against each other by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -341,51 +340,33 @@ def entropy_flux(U: ConservativeState, j: int):
 
 
 # ---------------------------------------------------------------------------
-# characteristic structure (n = 1)
+# characteristic structure
 
 
-@dataclass
-class CharField:
-    """A propagation speed with its multiplicity and characteristic directions."""
+def char_speeds(W: PrimitiveState, nu):
+    """(c, sigma): the spectrum of A_nu = sum_j nu_j A_j(W) is {c, c +/- sigma}, for n <= 2.
 
-    speed: float
-    multiplicity: int
-    vectors: list
-
-
-def _require_n1(layout: MinorLayout):
-    if layout.n != 1:
-        raise ConfigError("characteristic formulas are only available for n = 1")
-
-
-def char_speeds_n1(W: PrimitiveState):
-    """Speeds v_1 +/- tau with multiplicity m+1 each, plus their fields.
-
-    For n = 1 the flux matrix is v_1 * Id + tau * B with B a constant
-    symmetric involution, so the characteristic directions are state
-    independent; they are returned in primitive layout.
+    c = nu . v and sigma^2 = |nu|^2 tau^2 + sum_alpha (m_{alpha,1} nu_2 - m_{alpha,2} nu_1)^2,
+    the sum empty for n = 1: B = A_nu - c I satisfies B (B^2 - sigma^2 I) = 0 for every W, on
+    the constraint manifold or off it.  c +/- sigma each have multiplicity m + 1 and c has the
+    remaining dim - 2(m + 1).  For n = 3 with m >= 2 the identity fails and the true spectral
+    radius is larger, so n >= 3 is refused.  Entries may be scalars or grids; each square is
+    x * x, which overflows to inf where a Python float ** 2 would raise.
     """
     lay = W.layout
-    _require_n1(lay)
-    m = lay.m
-    dim = lay.state_dim
-    lp = W.v[0] + W.tau
-    lm = W.v[0] - W.tau
-
-    def unit(entries):
-        vec = np.zeros(dim)
-        for slot, val in entries:
-            vec[slot] = val
-        return vec / np.linalg.norm(vec)
-
-    plus = [unit([(0, -1.0), (lay.v_slot(1), 1.0)])]
-    minus = [unit([(0, 1.0), (lay.v_slot(1), 1.0)])]
-    for alpha in range(1, m + 1):
-        mu = lay.state_slot((alpha,), (1,))
-        plus.append(unit([(lay.d_slot(alpha), 1.0), (mu, 1.0)]))
-        minus.append(unit([(lay.d_slot(alpha), 1.0), (mu, -1.0)]))
-
-    return lp, lm, (CharField(lp, m + 1, plus), CharField(lm, m + 1, minus))
+    if lay.n > 2:
+        raise ConfigError(f"closed-form characteristic speeds need n <= 2, got n = {lay.n}")
+    if len(nu) != lay.n:
+        raise ConfigError(f"direction vector must have length {lay.n}")
+    c, nn = nu[0] * W.v[0], nu[0] * nu[0]
+    for j in range(1, lay.n):
+        c, nn = c + nu[j] * W.v[j], nn + nu[j] * nu[j]
+    s2 = nn * (W.tau * W.tau)
+    if lay.n == 2:
+        for a in range(1, lay.m + 1):
+            x = W.m_minors[lay.slot((a,), (1,))] * nu[1] - W.m_minors[lay.slot((a,), (2,))] * nu[0]
+            s2 = s2 + x * x
+    return c, np.sqrt(s2)
 
 
 def linear_degeneracy_residual(W: PrimitiveState) -> float:
@@ -395,7 +376,8 @@ def linear_degeneracy_residual(W: PrimitiveState) -> float:
     (h, P, D, F), along the characteristic directions expressed there.
     """
     lay = W.layout
-    _require_n1(lay)
+    if lay.n != 1:
+        raise ConfigError("the linear-degeneracy residual is only available for n = 1")
     _guard(W.tau, "|tau|")
     m = lay.m
     h = 1.0 / W.tau

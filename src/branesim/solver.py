@@ -242,24 +242,17 @@ def rk4_step(y: np.ndarray, dt: float, rhs, out=None, work=None, names=None) -> 
 
 
 def max_wave_speed(fld: GridField) -> float:
-    """Largest |eigenvalue| of the flux matrices over grid points and axes.
+    """Largest |eigenvalue| of the flux matrices over grid points and axes: max_j |v_j| + sigma_j.
 
-    For n <= 2, on the constraint manifold or off it, the spectrum of A_j(W)
-    is {v_j, v_j +/- sigma_j} with sigma_j^2 = tau^2 + sum over alpha and
-    i != j of m_{alpha,i}^2, so the largest |eigenvalue| is |v_j| + sigma_j.
-    It fails for n = 3: at (m, n) = (2, 3) and (3, 3) the true spectral radius
-    is larger. Grid refuses n > 2, so no run reaches that case.
+    The spectrum of A_j(W) is {v_j, v_j +/- sigma_j}, from ``flux.char_speeds`` along
+    nu = e_j; it needs n <= 2, which Grid enforces.
     """
     W = fld.state_view()
-    lay = W.layout
+    n = W.layout.n
     smax = 0.0
-    for j in range(1, lay.n + 1):
-        s2 = W.tau * W.tau
-        for a in range(1, lay.m + 1):
-            for i in range(1, lay.n + 1):
-                if i != j:
-                    s2 = s2 + W.m_minors[lay.slot((a,), (i,))] ** 2
-        smax = max(smax, float(np.max(np.abs(W.v[j - 1]) + np.sqrt(s2))))
+    for j in range(n):
+        c, sigma = _flux.char_speeds(W, [float(i == j) for i in range(n)])
+        smax = max(smax, float(np.max(np.abs(c) + sigma)))
     return smax
 
 

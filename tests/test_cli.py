@@ -255,6 +255,7 @@ def assert_rejected(argv, key, capsys):
 def test_simulate_validation_messages(tmp_path, capsys):
     mode = {"component": 1, "wave": [1], "amplitude": 0.1}
     cases = [
+        ({"schema": True}, "config.schema"),
         ({"m": 9}, "config.m"),
         ({"n": 5}, "config.n"),
         ({"t_end": -1.0}, "config.t_end"),
@@ -540,6 +541,67 @@ def test_characteristics_extreme_nu_scales(tmp_path, capsys):
     assert spectra[1] == spectra[0] and spectra[2] == spectra[0]
 
 
+def _table_matches_spectrum(out):
+    """The speed table, expanded by its multiplicities and sorted, against the eigvalsh spectrum line."""
+    lines = out.strip().split("\n")
+    assert lines[0] == "speed multiplicity"
+    rows = [line.split() for line in lines[1:-1] if not line.startswith("linear_degeneracy_residual")]
+    table = sorted(float(speed) for speed, k in rows for _ in range(int(k)))
+    spectrum = [float(x) for x in lines[-1].split()[1:]]
+    assert len(table) == len(spectrum)
+    return max(abs(a - b) for a, b in zip(table, spectrum)) <= 1e-12 * max(map(abs, spectrum))
+
+
+def test_characteristics_table_follows_nu(tmp_path, capsys):
+    # the table once ignored nu for n = 1 and printed 0.7 and -0.3 under a spectrum of -0.7 and 0.3
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "state": {"tau": 0.5, "d": [0.0], "v": [0.2], "minors": [0.0]}, "nu": [-1]}))
+    assert main(["characteristics", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("speed multiplicity\n0.29999999999999999 2\n-0.69999999999999996 2\n")
+    assert _table_matches_spectrum(out)
+    rng = np.random.default_rng(18)
+    for m in (1, 2, 3):
+        count = minors.enumerate_layout(m, 2).minor_count
+        st = {"tau": 0.8, "d": rng.uniform(-1, 1, m).tolist(), "v": rng.uniform(-1, 1, 2).tolist(), "minors": rng.uniform(-1, 1, count).tolist()}
+        for nu in ([3, 4], [0, 1], [-1, 2]):
+            path.write_text(json.dumps({"m": m, "n": 2, "state": st, "nu": nu}))
+            assert main(["characteristics", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert len(out.splitlines()) == 5, out  # c + sigma, c - sigma and c, then the spectrum
+            assert _table_matches_spectrum(out), (m, nu, out)
+
+
+def test_characteristics_huge_tau_still_prints(tmp_path, capsys):
+    # a naive sigma^2 overflows once tau passes about 1e154; W is scaled by a power of two first
+    path = tmp_path / "state.json"
+    want = {
+        1e200: "9.9999999999999997e+199 2\n-9.9999999999999997e+199 2\n"
+        "linear_degeneracy_residual 8.4982078850682723e+188\n"
+        "spectrum -9.9999999999999997e+199 -9.9999999999999997e+199 9.9999999999999997e+199 9.9999999999999997e+199\n",
+        1e300: "1.0000000000000001e+300 2\n-1.0000000000000001e+300 2\n"
+        "linear_degeneracy_residual 7.4350845423889142e+288\n"
+        "spectrum -9.999999999999999e+299 -9.999999999999999e+299 9.999999999999999e+299 9.999999999999999e+299\n",
+    }
+    n2 = {
+        "m": 2,
+        "n": 2,
+        "state": {"tau": 1e200, "d": [1e199, 2e199], "v": [2e199, -1e199], "minors": [3e199, 1e199, -2e199, 4e199, 5e198]},
+        "nu": [3, 4],
+    }
+    docs = [{"m": 1, "n": 1, "state": {"tau": tau, "d": [0.0], "v": [0.2], "minors": [0.0]}} for tau in want] + [n2]
+    for doc, expected in zip(docs, [*want.values(), None]):
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["characteristics", str(path)]) == 0
+        out = capsys.readouterr().out
+        if expected is None:
+            assert _table_matches_spectrum(out), out
+        else:
+            assert out == "speed multiplicity\n" + expected
+
+
 def test_characteristics_bad_state_exits_2(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"m": 1, "n": 1, "state": {"tau": 1.0, "d": [], "v": [0.0], "minors": [0.0]}}))
@@ -560,6 +622,7 @@ def test_characteristics_validation_messages(tmp_path, capsys):
         ({"state": dict(state, tau=-1.0)}, "state.tau"),
         ({"state": dict(state, tau=1e-13)}, "state.tau"),
         ({"schema": 7}, "state file.schema"),
+        ({"schema": True}, "state file.schema"),
         ({"m": 9}, "state file.m"),
         ({"n": 3}, "state file.n"),
         # U = W / tau overflows, so the n = 1 residual was NaN and printed as 0
@@ -642,6 +705,7 @@ def test_mcf_compare_validation_messages(tmp_path, capsys):
     mode = {"component": 1, "wave": [1], "amplitude": 0.1}
     circle = {"radius": 1.0, "points": 64, "theta_end": 0.01}
     cases = [
+        ({"schema": True}, "config.schema"),
         ({"m": 7}, "config.m"),
         ({"m": "x"}, "config.m"),
         ({"n": 3}, "config.n"),

@@ -7,7 +7,7 @@ import pytest
 from branesim import flux, minors, state
 from branesim.flux import (
     assemble_A,
-    char_speeds_n1,
+    char_speeds,
     conservative_flux,
     entropy,
     entropy_flux,
@@ -308,36 +308,49 @@ def test_entropy_law_pointwise(shape):
 
 
 # ---------------------------------------------------------------------------
-# characteristics (n = 1)
+# characteristics
 
 
 def test_char_speeds_examples():
     lay = enumerate_layout(1, 1)
-    lp, lm, fields = char_speeds_n1(PrimitiveState(0.5, [0.0], [0.2], [0.0], lay))
-    assert (lp, lm) == (0.7, -0.3)
-    assert fields[0].multiplicity == fields[1].multiplicity == 2
-    lp, lm, _ = char_speeds_n1(PrimitiveState(1.0, [0.0], [0.0], [0.0], lay))
-    assert (lp, lm) == (1.0, -1.0)
+    W = PrimitiveState(0.5, [0.0], [0.2], [0.0], lay)
+    assert char_speeds(W, [1.0]) == (0.2, 0.5)
+    assert char_speeds(W, [-1.0]) == (-0.2, 0.5)
+    assert char_speeds(PrimitiveState(1.0, [0.0], [0.0], [0.0], lay), [1.0]) == (0.0, 1.0)
+    # n = 2: sigma^2 = tau^2 + (m_{1,1} nu_2 - m_{1,2} nu_1)^2 = 1 + (0.5 * 1 - 0 * 0)^2
     lay2 = enumerate_layout(1, 2)
-    with pytest.raises(ConfigError):
-        char_speeds_n1(PrimitiveState(1.0, [0.0], [0.0, 0.0], [0.0, 0.0], lay2))
+    W2 = PrimitiveState(1.0, [0.3], [0.2, -0.4], [0.5, 0.0], lay2)
+    assert char_speeds(W2, [0.0, 1.0]) == (-0.4, np.sqrt(1.25))
+    with pytest.raises(ConfigError, match="length 2"):
+        char_speeds(W2, [1.0])
+
+
+def test_char_speeds_refuses_n3():
+    # B (B^2 - sigma^2 I) = 0 fails at (m, n) = (2, 3), so no closed form is offered there
+    lay = enumerate_layout(2, 3)
+    W = PrimitiveState.from_vector([1.0] * lay.state_dim, lay)
+    with pytest.raises(ConfigError, match="n <= 2"):
+        char_speeds(W, [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_char_spectrum_and_vectors(m):
-    lay = enumerate_layout(m, 1)
+def test_char_speeds_spectrum(m):
+    # c +/- sigma with multiplicity m + 1 each and c with the rest, against eigvalsh of A_nu,
+    # for random nu, on the constraint manifold (lifted graph data) and off it
     rng = np.random.default_rng(m)
-    for _ in range(30):
-        W = PrimitiveState.from_vector(list(rng.uniform(-1, 1, lay.state_dim)), lay)
-        lp, lm, fields = char_speeds_n1(W)
-        ev = np.sort(np.linalg.eigvalsh(np.asarray(assemble_A(1, W), dtype=float)))
-        want = np.sort([lm] * (m + 1) + [lp] * (m + 1))
-        assert np.max(np.abs(ev - want)) < 1e-10
-        A1 = np.asarray(assemble_A(1, W), dtype=float)
-        for f in fields:
-            assert len(f.vectors) == m + 1
-            for vec in f.vectors:
-                assert np.max(np.abs(A1 @ vec - f.speed * vec)) < 1e-10
+    for n in (1, 2):
+        lay = enumerate_layout(m, n)
+        for k in range(60):
+            if k % 2:
+                W = PrimitiveState.from_vector(list(rng.uniform(-1, 1, lay.state_dim)), lay)
+            else:
+                g = GraphData(rng.normal(size=(m, n)), rng.normal(size=m))
+                W = state.to_primitive(lift(g, lay))
+            nu = rng.normal(size=n)
+            c, sigma = char_speeds(W, nu)
+            want = np.sort([c + sigma] * (m + 1) + [c - sigma] * (m + 1) + [c] * (lay.state_dim - 2 * (m + 1)))
+            A = sum(nu[j - 1] * np.asarray(assemble_A(j, W), dtype=float) for j in range(1, n + 1))
+            assert np.max(np.abs(np.linalg.eigvalsh(A) - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_linear_degeneracy_residuals():
@@ -363,9 +376,9 @@ def test_wave_speeds_reduces_to_n1():
     lay = enumerate_layout(2, 1)
     rng = np.random.default_rng(1)
     W = PrimitiveState.from_vector(list(rng.uniform(-1, 1, lay.state_dim)), lay)
-    lp, lm, _ = char_speeds_n1(W)
+    c, sigma = char_speeds(W, [1.0])
     got = wave_speeds(W, [1.0])
-    assert np.max(np.abs(got - np.sort([lm] * 3 + [lp] * 3))) < 1e-12
+    assert np.max(np.abs(got - np.sort([c - sigma] * 3 + [c + sigma] * 3))) < 1e-12
 
 
 def test_wave_speeds_zero_state():
