@@ -16,7 +16,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .solver import Grid, Mode
 from .state import EPS_SINGULAR, BlowUpError, PrimitiveState
 
 DEFAULT_VERIFY_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
-# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes 0.2-0.3 s (2-core Xeon), 8x8 far longer
+# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes about 0.25 s of CPU time (2-core Xeon), 8x8 far longer
 MAX_VERIFY_DIM = 6
 
 
@@ -212,7 +211,7 @@ def load_json(path: str) -> dict:
 
 @dataclass
 class VerifyReport:
-    """Outcome of the exact-rational identity suites."""
+    """Outcome of the exact integer identity suites."""
 
     seed: int
     samples: int
@@ -238,24 +237,10 @@ class VerifyReport:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    # entries in [-5, 5] with small denominators keeps the suites fast
-    return Fraction(rng.randint(-10, 10), rng.randint(1, 2))
-
-
-def _rand_matrix(rng: random.Random, m: int, n: int) -> list[list[Fraction]]:
-    return [[_rand_fraction(rng) for _ in range(n)] for _ in range(m)]
-
-
-def _scale(F) -> int:
-    """L, the lcm of the denominators of F's entries."""
-    return math.lcm(*(x.denominator for row in F for x in row))
-
-
-def _cleared(F) -> list[list[int]]:
-    """L·F as plain ints, where L = _scale(F)."""
-    L = _scale(F)
-    return [[x.numerator * (L // x.denominator) for x in row] for row in F]
+def _rand_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    # the identities are polynomials with integer coefficients, so integer samples test
+    # them as well as rational ones; 31 values in [-15, 15] keep the suites fast
+    return [[rng.randint(-15, 15) for _ in range(n)] for _ in range(m)]
 
 
 def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
@@ -290,27 +275,19 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
         for _ in range(samples):
             F = _rand_matrix(rng, m, n)
             payload = [[str(x) for x in row] for row in F]
-            # Every suite runs on G = L·F in ints. Both sides of the Laplace identity
-            # have degree k in F, so they scale alike. The xi, xi' and Z identities carry
-            # the I_n of I + FᵀF, so both of their sides take the scale L and come out
-            # as L^{2n} xi, L^{2n-1} xi' and (times L² on the adjugate side) L^{2n} Z.
-            # Since L >= 1, each suite passes or fails exactly as on F.
-            L = _scale(F)
-            G = _cleared(F)
-            mG = minors.all_minors(G, layout)
+            mF = minors.all_minors(F, layout)
 
-            ok = minors.xi(G, L) == minors.xi_minor_sum(mG, layout, L)
+            ok = minors.xi(F) == minors.xi_minor_sum(mF, layout)
             record("xi", ok, (m, n), payload)
 
-            ok = minors.xi_prime(G, L) == minors.xi_prime_minor_sum(mG, layout, L)
+            ok = minors.xi_prime(F) == minors.xi_prime_minor_sum(mF, layout)
             record("xi_prime", ok, (m, n), payload)
 
-            Z = [[L * L * z for z in row] for row in minors.z_matrix(G, L)]
-            ok = Z == minors.z_minor_sum(mG, layout, L)
+            ok = minors.z_matrix(F) == minors.z_minor_sum(mF, layout)
             record("z_matrix", ok, (m, n), payload)
 
             ok3 = all(
-                minors.laplace_mixed(G, A, I, q, j) == (0 if slot is None else s * mG[slot])
+                minors.laplace_mixed(F, A, I, q, j) == (0 if slot is None else s * mF[slot])
                 for A, I, q, j, s, slot in laplace_cases
             )
             record("laplace_mixed", ok3, (m, n), payload)
@@ -318,13 +295,11 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
             l = rng.randint(1, 3)
             M = _rand_matrix(rng, m, l)
             N = _rand_matrix(rng, l, n)
-            # both sides of Cauchy–Binet have degree k in M and in N
-            Mi, Ni = _cleared(M), _cleared(N)
             okcb = True
             for k in range(0, min(m, n, l) + 1):
                 I = tuple(sorted(rng.sample(range(1, m + 1), k)))
                 J = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                lhs, rhs = minors.cauchy_binet_check(Mi, Ni, I, J)
+                lhs, rhs = minors.cauchy_binet_check(M, N, I, J)
                 if lhs != rhs:
                     okcb = False
             record(
@@ -570,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed of the random samples drawn by verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run the exact-rational identity suites")
+    pv = sub.add_parser("verify", help="run the exact integer identity suites")
     pv.add_argument("--samples", type=int, default=200)
     pv.add_argument(
         "--shapes",
@@ -607,6 +582,8 @@ def main(argv=None) -> int:
                 shapes.append((m, n))
             if args.samples < 0:
                 raise ConfigError("--samples must be >= 0")
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0; a negative seed would draw the samples of its absolute value")
             report = cmd_verify(shapes, args.samples, args.seed)
             print(report.to_json())
             print(f"verify completed in {report.elapsed_s:.3f}s", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Exact algebra of matrix minors.
 
-Everything in here is written generically over the scalar type: pass
-`fractions.Fraction` entries for zero-tolerance identity checking, floats for
-the solver path, or numpy arrays as entries to evaluate a formula over a whole
-grid at once.  No function mutates its arguments.
+Everything in here is written generically over the scalar type: pass ints or
+`fractions.Fraction` entries for exact identity checking (verify draws ints),
+floats for the solver path, or numpy arrays as entries to evaluate a formula
+over a whole grid at once.  No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class MinorLayout:
                 for I in combinations(range(1, n + 1), k):
                     raw.append((A, I))
         self._raw = tuple(raw)
-        self.order = tuple(len(A) for A, _ in raw)
         self.index_of = {p: i for i, p in enumerate(self._raw)}
         self.minor_count = len(raw)
         assert self.minor_count == comb(m + n, n) - 1
@@ -194,17 +193,16 @@ def _adjugate(rows) -> list[list]:
     return adj
 
 
-def _gram_plus_identity(rows, scale=1) -> list[list]:
-    """scale^2 I_n + F^T F; each entry of the symmetric matrix is formed once, and shared with its mirror."""
+def _gram_plus_identity(rows) -> list[list]:
+    """I_n + F^T F; each entry of the symmetric matrix is formed once, and shared with its mirror."""
     m, n = _dims(rows)
-    s2 = scale * scale
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = rows[0][i] * rows[0][j]
             for a in range(1, m):
                 acc = acc + rows[a][i] * rows[a][j]
-            out[i][j] = out[j][i] = acc + s2 if i == j else acc
+            out[i][j] = out[j][i] = acc + 1 if i == j else acc
     return out
 
 
@@ -301,89 +299,64 @@ def cauchy_binet_check(M, N, I, J):
     return lhs, rhs
 
 
-# The xi, xi' and Z identities carry the I_n of I + F^T F, so they are not
-# homogeneous in F.  Both sides take a scale L (an int >= 1, default 1) and
-# read G = L F for F: the determinant side puts L^2 I_n in place of I_n, and a
-# minor sum weighs each term of order k (the size of the minor slot in its
-# table) by L^{2(n-k)}, the m_I(G) = L^k m_I(F) that it lacks.  Each side is
-# then a fixed power of L times its value on F, and an int when G is.
+def xi(F):
+    """det(I_n + F^T F), the area-element factor of the graph."""
+    return _det(_gram_plus_identity(_rows(F)))
 
 
-def xi(F, scale=1):
-    """det(I_n + F^T F), the area-element factor of the graph; det(L^2 I_n + G^T G) = L^{2n} xi(F) at scale L."""
-    return _det(_gram_plus_identity(_rows(F), scale))
-
-
-def _weighted(minors_vec, layout: MinorLayout, scale):
-    """The minors with each order-k entry times scale^{2(n-k)}; the vector itself at scale 1."""
-    if scale == 1:
-        return minors_vec
-    power = [scale ** (2 * (layout.n - k)) for k in range(layout.r + 1)]
-    return [power[k] * v for k, v in zip(layout.order, minors_vec)]
-
-
-def _squares(minors_vec, weighted, layout: MinorLayout, scale):
-    """scale^{2n} + the weighted sum of squared minors: the minor-sum side of xi."""
-    out = scale ** (2 * layout.n)
-    for u, v in zip(weighted, minors_vec):
-        out = out + u * v
+def _squares(minors_vec):
+    """1 + sum of squared minors; z_minor_sum reads it, not xi_minor_sum, so a fault in one fails one identity."""
+    out = 1
+    for v in minors_vec:
+        out = out + v * v
     return out
 
 
-def xi_minor_sum(minors_vec, layout: MinorLayout, scale=1):
-    """1 + sum of squared minors; equals xi(F) when the vector holds all minors of F, and L^{2n} xi(F) on G at scale L."""
+def xi_minor_sum(minors_vec, layout: MinorLayout):
+    """1 + sum of squared minors; equals xi(F) when the vector holds all minors of F."""
     if len(minors_vec) != layout.minor_count:
         raise ConfigError("minor vector length does not match layout")
-    return _squares(minors_vec, _weighted(minors_vec, layout, scale), layout, scale)
+    return _squares(minors_vec)
 
 
-def xi_prime(F, scale=1):
-    """Half-gradient of xi: xi'(F)_{ai} = xi (I_n + F^T F)^{-1}_{ij} F_{aj}; L^{2n-1} xi'(F) on G at scale L.
+def xi_prime(F):
+    """Half-gradient of xi: xi'(F)_{ai} = xi (I_n + F^T F)^{-1}_{ij} F_{aj}.
 
-    Evaluated through the adjugate, so it is exact on rational input and never
-    divides (I_n + F^T F is positive definite, but no inverse is formed).
+    Evaluated through the adjugate, so it is exact on integer or rational input
+    and never divides (I_n + F^T F is positive definite, but no inverse is formed).
     """
     rows = _rows(F)
     m, n = _dims(rows)
-    adj = _adjugate(_gram_plus_identity(rows, scale))
+    adj = _adjugate(_gram_plus_identity(rows))
     return [[sum(rows[a][j] * adj[j][i] for j in range(n)) for i in range(n)] for a in range(m)]
 
 
-def xi_prime_minor_sum(minors_vec, layout: MinorLayout, scale=1):
-    """xi' assembled from minors alone: sum of (-1)^{O_A(a)+O_I(i)} m_{A,I} m_{A\\a,I\\i} over A, I.
-
-    On the minors of G at scale L it is L^{2n-1} xi'(F).
-    """
+def xi_prime_minor_sum(minors_vec, layout: MinorLayout):
+    """xi' assembled from minors alone: sum of (-1)^{O_A(a)+O_I(i)} m_{A,I} m_{A\\a,I\\i} over A, I."""
     if len(minors_vec) != layout.minor_count:
         raise ConfigError("minor vector length does not match layout")
-    u = _weighted(minors_vec, layout, scale)
     out = [0] * (layout.m * layout.n)
     for cell, slot, rest, minus in _xi_prime_table(layout):
-        term = u[slot] if rest is None else u[slot] * minors_vec[rest]
+        term = minors_vec[slot] if rest is None else minors_vec[slot] * minors_vec[rest]
         out[cell] = out[cell] - term if minus else out[cell] + term
     n = layout.n
     return [out[r * n : r * n + n] for r in range(layout.m)]
 
 
-def z_matrix(F, scale=1):
-    """Z = xi (I_n + F^T F)^{-1}, via the adjugate; symmetric positive definite; L^{2(n-1)} Z(F) on G at scale L."""
-    return _adjugate(_gram_plus_identity(_rows(F), scale))
+def z_matrix(F):
+    """Z = xi (I_n + F^T F)^{-1}, via the adjugate; symmetric positive definite."""
+    return _adjugate(_gram_plus_identity(_rows(F)))
 
 
-def z_minor_sum(minors_vec, layout: MinorLayout, scale=1):
-    """Z assembled from minors: (1 + sum m^2) delta_ij minus the signed swap products.
-
-    On the minors of G at scale L it is L^{2n} Z(F), L^2 times z_matrix(G, L):
-    the order-n terms would need the weight L^{-2} otherwise.
-    """
+def z_minor_sum(minors_vec, layout: MinorLayout):
+    """Z assembled from minors: (1 + sum m^2) delta_ij minus the signed swap products."""
     if len(minors_vec) != layout.minor_count:
         raise ConfigError("minor vector length does not match layout")
-    u = _weighted(minors_vec, layout, scale)
     n = layout.n
-    s2 = _squares(minors_vec, u, layout, scale)
+    s2 = _squares(minors_vec)
     out = [0 if c % (n + 1) else s2 for c in range(n * n)]
     for cell, slot, swap, minus in _z_table(layout):
-        term = minors_vec[swap] * u[slot]
+        term = minors_vec[swap] * minors_vec[slot]
         out[cell] = out[cell] - term if minus else out[cell] + term
     return [out[r * n : r * n + n] for r in range(n)]
 

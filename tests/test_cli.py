@@ -10,7 +10,6 @@ import pkgutil
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +96,39 @@ def test_verify_rejects_bad_shape_token(monkeypatch, capsys):
     assert main(["verify", "--samples", "0", "--shapes", "6x6,1x6"]) == 0
 
 
-def test_cleared_scales_by_the_lcm_of_the_denominators():
-    F = [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(3), Fraction(0)]]
-    G = cli._cleared(F)
-    assert G == [[6 * x for x in row] for row in F]
-    assert all(type(x) is int for row in G for x in row)
-    assert cli._cleared([[Fraction(0)] * 3] * 2) == [[0, 0, 0], [0, 0, 0]]
-    # every minor of order k scales by L^k, which is why the homogeneous suites may run on L·F
-    assert minors.minor(G, (1, 2), (1, 2)) == 6**2 * minors.minor(F, (1, 2), (1, 2))
+def test_verify_draws_ints_and_takes_all_31_values(monkeypatch):
+    draws = []
+    real_draw = cli._rand_matrix
+
+    def spy(rng, m, n):
+        draws.append(real_draw(rng, m, n))
+        return draws[-1]
+
+    monkeypatch.setattr(cli, "_rand_matrix", spy)
+    cmd_verify(cli.DEFAULT_VERIFY_SHAPES, samples=200, seed=0)
+    values = [x for F in draws for row in F for x in row]
+    assert all(type(x) is int for x in values)
+    assert set(values) == set(range(-15, 16))
+
+
+def test_verify_rejects_a_negative_seed(monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("verify ran")
+
+    # random.Random(-7) draws the samples of Random(7), which the report would label -7
+    monkeypatch.setattr(cli, "cmd_verify", not_reached)
+    for seed in ("-1", "-7"):
+        assert main(["--seed", seed, "verify", "--samples", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --seed must be >= 0") and err.count("\n") == 1
+
+
+def test_the_benchmark_check_accepts_the_report(tmp_path, capsys):
+    # a report change that the benchmark would count as a failed run (ok_frac) must fail here too
+    wl = _benchmark_workloads()
+    for seed in (0, 3):
+        assert main(["--seed", str(seed), "verify", "--samples", "3"]) == 0
+        wl.Verify(seed, {"samples": 3}).check(tmp_path, capsys.readouterr().out)
 
 
 def test_verify_report_bytes_are_pinned():
@@ -162,8 +186,6 @@ def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
         want = [strs(F) for F in draws[0::3]]
     assert report.passes[name] == {"pass": 0, "fail": 8}
     assert [f["input"] for f in report.failures] == want
-    # some draws are not integers, so payloads of the cleared matrices would differ
-    assert any(x.denominator > 1 for F in draws for row in F for x in row)
 
 
 @pytest.mark.parametrize("table, identity", [("_xi_prime_table", "xi_prime"), ("_z_table", "z_matrix")])
@@ -182,7 +204,7 @@ def test_a_flipped_sign_in_a_minor_sum_table_fails_its_identity(monkeypatch, tab
 
 
 def test_verify_hands_the_minors_layer_only_ints(monkeypatch):
-    # the drawn Fractions must not reach either side of an identity: every suite runs on L·F
+    # every suite runs on the drawn integer matrices themselves, as the solver's calls do
     spied = ("xi", "xi_prime", "z_matrix", "all_minors", "xi_minor_sum", "xi_prime_minor_sum", "z_minor_sum")
     seen = {name: [] for name in spied}
 

@@ -270,39 +270,6 @@ def test_identities_exact_random(shape):
                         assert got == sign * minor(F, A, swapped)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_each_side_at_scale_L_on_L_F_is_a_power_of_L_times_its_value_on_F(shape):
-    # verify runs every suite on G = L·F; each side compares with itself unscaled, so no side checks the other
-    m, n = shape
-    lay = enumerate_layout(m, n)
-    rng = random.Random(7 * m + n)
-    for _ in range(4):
-        F = rand_matrix(rng, m, n)
-        mv = all_minors(F, lay)
-        unscaled = {
-            "xi": (xi(F), 2 * n),
-            "xi_minor_sum": (xi_minor_sum(mv, lay), 2 * n),
-            "xi_prime": (xi_prime(F), 2 * n - 1),
-            "xi_prime_minor_sum": (xi_prime_minor_sum(mv, lay), 2 * n - 1),
-            "z_matrix": (z_matrix(F), 2 * n - 2),
-            "z_minor_sum": (z_minor_sum(mv, lay), 2 * n),
-        }
-        for L in range(1, 7):
-            G = [[L * x for x in row] for row in F]
-            mG = all_minors(G, lay)
-            got = {
-                "xi": xi(G, L),
-                "xi_minor_sum": xi_minor_sum(mG, lay, L),
-                "xi_prime": xi_prime(G, L),
-                "xi_prime_minor_sum": xi_prime_minor_sum(mG, lay, L),
-                "z_matrix": z_matrix(G, L),
-                "z_minor_sum": z_minor_sum(mG, lay, L),
-            }
-            for name, (value, power) in unscaled.items():
-                want = [[x * L**power for x in row] for row in value] if isinstance(value, list) else value * L**power
-                assert got[name] == want, (name, L)
-
-
 def test_z_is_symmetric_positive_definite():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -331,7 +298,7 @@ def test_determinant_side_on_grid_arrays_matches_each_point_exactly(shape):
             for a, row in enumerate(rows):
                 for i, want in enumerate(row):
                     assert got[name][a][i][p] == want, (name, a, i, p)
-    # the solver path calls xi and xi_prime at the default scale: its bytes must be those of
+    # on the solver path the bytes of xi, xi_prime and z_matrix must be those of
     # I_n + FᵀF formed with a literal 1, summed in the same order
     F = np.random.default_rng(10 * m + n).uniform(-3, 3, (m, n, 4, 3))
     rows = minors._rows(F)
@@ -349,5 +316,4 @@ def test_determinant_side_on_grid_arrays_matches_each_point_exactly(shape):
         "z_matrix": adj,
     }
     for name, f in (("xi", xi), ("xi_prime", xi_prime), ("z_matrix", z_matrix)):
-        for got in (f(F), f(F, scale=1)):
-            assert np.asarray(got).tobytes() == np.asarray(want[name]).tobytes(), name
+        assert np.asarray(f(F)).tobytes() == np.asarray(want[name]).tobytes(), name
