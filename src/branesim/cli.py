@@ -26,7 +26,7 @@ from .solver import Grid, Mode
 from .state import EPS_SINGULAR, BlowUpError, PrimitiveState
 
 DEFAULT_VERIFY_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
-# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes about 0.25 s of CPU time (2-core Xeon), 8x8 far longer
+# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes about 0.06 s of CPU time (2-core Xeon), 8x8 far longer
 MAX_VERIFY_DIM = 6
 
 
@@ -259,19 +259,19 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
     rng = random.Random(seed)
     for m, n in shapes:
         layout = enumerate_layout(m, n)
-        # the Laplace cases (A, I, q, j) with the expected side as (sign, slot of the minor
-        # with column i_q replaced by j), or (0, None) when j lies in I \ {i_q}
+        # per pair (A, I), the expected Laplace matrix as (sign, slot) per entry (q, j): the
+        # slot of the minor with column i_q replaced by j, or sign 0 when j lies in I \ {i_q}
         laplace_cases = []
         for A, I in layout._raw:
+            expected = [[(0, 0)] * n for _ in A]
             for q in range(1, len(A) + 1):
                 icut = I[: q - 1] + I[q:]
                 for j in range(1, n + 1):
-                    if j in icut:
-                        laplace_cases.append((A, I, q, j, 0, None))
-                    else:
+                    if j not in icut:
                         swapped = tuple(sorted(icut + (j,)))
                         s = minors._sign(minors._rank(swapped, j) + q)
-                        laplace_cases.append((A, I, q, j, s, layout.index_of[(A, swapped)]))
+                        expected[q - 1][j - 1] = (s, layout.index_of[(A, swapped)])
+            laplace_cases.append((A, I, expected))
         for _ in range(samples):
             F = _rand_matrix(rng, m, n)
             payload = [[str(x) for x in row] for row in F]
@@ -287,8 +287,8 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
             record("z_matrix", ok, (m, n), payload)
 
             ok3 = all(
-                minors.laplace_mixed(F, A, I, q, j) == (0 if slot is None else s * mF[slot])
-                for A, I, q, j, s, slot in laplace_cases
+                minors.laplace_mixed(F, A, I) == [[s * mF[slot] for s, slot in row] for row in expected]
+                for A, I, expected in laplace_cases
             )
             record("laplace_mixed", ok3, (m, n), payload)
 

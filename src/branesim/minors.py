@@ -12,6 +12,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
 
 class ConfigError(ValueError):
@@ -361,12 +362,14 @@ def z_minor_sum(minors_vec, layout: MinorLayout):
     return [out[r * n : r * n + n] for r in range(n)]
 
 
-def laplace_mixed(F, A, I, q: int, j: int):
-    """Mixed Laplace sum sum_p (-1)^{p+q} [F]_{A\\{a_p}, I\\{i_q}} F_{a_p j}.
+def laplace_mixed(F, A, I):
+    """Mixed Laplace sums of one pair: the k x n matrix L with
+    L[q-1][j-1] = sum_p (-1)^{p+q} [F]_{A\\{a_p}, I\\{i_q}} F_{a_p j}.
 
-    Equals 0 when j lies in I\\{i_q}, and otherwise a signed minor with column
-    i_q replaced by j; the contract is exercised by the tests.  A and I are
-    strictly increasing index sets within 1..m and 1..n.
+    Entry (q, j) equals 0 when j lies in I\\{i_q}, and otherwise a signed minor
+    with column i_q replaced by j; the contract is exercised by the tests.  The
+    signed sub-minors are the cofactors of F[A, I], so L = adj(F[A, I]) F[A, :].
+    A and I are strictly increasing index sets within 1..m and 1..n.
     """
     rows = _rows(F)
     m, n = _dims(rows)
@@ -374,14 +377,6 @@ def laplace_mixed(F, A, I, q: int, j: int):
     k = len(a)
     if k != len(iset) or k < 1:
         raise ConfigError("need |A| = |I| >= 1")
-    if not 1 <= q <= k:
-        raise ConfigError(f"position q={q} out of range 1..{k}")
-    if not 1 <= j <= n:
-        raise ConfigError(f"column j={j} out of range 1..{n}")
-    # rows A of the columns I \ {i_q}; dropping row p of it leaves the p-th sub-minor
-    sub = _submatrix(rows, a, iset[: q - 1] + iset[q:])
-    out = 0
-    for p in range(1, k + 1):
-        term = _det(sub[: p - 1] + sub[p:]) * rows[a[p - 1] - 1][j - 1]
-        out = out - term if (p + q) % 2 else out + term
-    return out
+    adj = _adjugate(_submatrix(rows, a, iset))
+    cols = list(zip(*(rows[p - 1] for p in a)))  # the columns of F[A, :]
+    return [[sum(map(mul, adj_row, col)) for col in cols] for adj_row in adj]

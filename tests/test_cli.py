@@ -150,7 +150,7 @@ PLANTED = {
 
 
 @pytest.mark.parametrize("fault", sorted(PLANTED))
-def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
+def test_verify_failures_carry_the_drawn_matrices(monkeypatch, fault):
     draws = []
     real_draw = cli._rand_matrix
 
@@ -162,12 +162,11 @@ def test_verify_failures_carry_the_drawn_fractions(monkeypatch, fault):
 
     def planted(*args):
         out = real(*args)
-        if fault == "laplace_mixed":
-            return out + 1
         if fault == "cauchy_binet_check":
             return out[0], out[1] + 1
         if fault in ("xi", "xi_minor_sum"):
             return out + 1
+        # a matrix: xi_prime, z_matrix, their minor sums, or the k x n Laplace matrix of one pair
         out[0][0] = out[0][0] + 1
         return out
 
@@ -201,6 +200,26 @@ def test_a_flipped_sign_in_a_minor_sum_table_fails_its_identity(monkeypatch, tab
     report = cmd_verify(shapes=[(2, 2), (3, 2)], samples=4, seed=5)
     assert report.passes[identity]["fail"] > 0
     assert all(v["fail"] == 0 for k, v in report.passes.items() if k != identity)
+
+
+def test_verify_calls_laplace_mixed_once_per_pair(monkeypatch):
+    # one k x n matrix per index pair and sample, not one call per entry (q, j)
+    calls = []
+    real = minors.laplace_mixed
+
+    def spy(F, A, I):
+        calls.append((len(F), len(F[0]), A, I))
+        return real(F, A, I)
+
+    monkeypatch.setattr(minors, "laplace_mixed", spy)
+    samples = 3
+    report = cmd_verify(cli.DEFAULT_VERIFY_SHAPES, samples=samples, seed=0)
+    assert report.all_passed()
+    layouts = [minors.enumerate_layout(m, n) for m, n in cli.DEFAULT_VERIFY_SHAPES]
+    assert sum(lay.minor_count for lay in layouts) == 47
+    assert len(calls) == samples * 47
+    want = [(lay.m, lay.n, A, I) for lay in layouts for _ in range(samples) for A, I in lay._raw]
+    assert calls == want
 
 
 def test_verify_hands_the_minors_layer_only_ints(monkeypatch):

@@ -120,8 +120,8 @@ def test_minor_examples():
 @pytest.mark.parametrize(
     "call, named",
     [
-        (lambda: laplace_mixed([[1, 2], [3, 4]], (0,), (1,), 1, 1), "row set (0,)"),
-        (lambda: laplace_mixed([[1, 2], [3, 4]], (1,), (0,), 1, 1), "column set (0,)"),
+        (lambda: laplace_mixed([[1, 2], [3, 4]], (0,), (1,)), "row set (0,)"),
+        (lambda: laplace_mixed([[1, 2], [3, 4]], (1,), (0,)), "column set (0,)"),
         (lambda: minor([[1, 2], [3, 4], [5, 6]], (3, 1), (1, 2)), "row set (3, 1)"),
         (lambda: minor([[1, 2], [3, 4], [5, 6]], (1, 1), (1, 2)), "row set (1, 1)"),
         (lambda: cauchy_binet_check([[1, 2], [3, 4]], [[1, 0], [0, 1]], (2, 1), (1, 2)), "row set (2, 1)"),
@@ -230,19 +230,20 @@ def test_laplace_mixed_examples():
     F = [[Fr(2), Fr(5)], [Fr(-1), Fr(3)]]
     # k = 1: the sum collapses to (-1)^{1+1} [F]_{(),()} F_{alpha j} = F_{alpha j},
     # matching the replaced-column side of the identity
-    assert laplace_mixed(F, (1,), (2,), 1, 1) == F[0][0] == minor(F, (1,), (1,))
+    assert laplace_mixed(F, (1,), (2,)) == [F[0]]
+    assert laplace_mixed(F, (1,), (2,))[0][0] == minor(F, (1,), (1,))
+    # k = 2 on a square F: adj(F) F = det(F) I
+    assert laplace_mixed(F, (1, 2), (1, 2)) == [[11, 0], [0, 11]]
     # j in I \\ {i_q} gives 0
     rng = random.Random(2)
     for _ in range(40):
         G = rand_matrix(rng, 3, 3)
-        assert laplace_mixed(G, (1, 2), (1, 3), 2, 1) == 0
-        assert laplace_mixed(G, (1, 3), (2, 3), 1, 3) == 0
+        assert laplace_mixed(G, (1, 2), (1, 3))[1][0] == 0
+        assert laplace_mixed(G, (1, 3), (2, 3))[0][2] == 0
     with pytest.raises(ConfigError):
-        laplace_mixed(F, (1, 2), (1, 2), 3, 1)
+        laplace_mixed(F, (), ())
     with pytest.raises(ConfigError):
-        laplace_mixed(F, (1, 2), (1, 2), 1, 5)
-    with pytest.raises(ConfigError):
-        laplace_mixed(F, (), (), 1, 1)
+        laplace_mixed(F, (1, 2), (1,))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -257,9 +258,11 @@ def test_identities_exact_random(shape):
         assert xi_prime(F) == xi_prime_minor_sum(mv, lay)
         assert z_matrix(F) == z_minor_sum(mv, lay)
         for A, I in lay._raw:
+            L = laplace_mixed(F, A, I)
+            assert len(L) == len(A) and all(len(row) == n for row in L)
             for q in range(1, len(A) + 1):
                 for j in range(1, n + 1):
-                    got = laplace_mixed(F, A, I, q, j)
+                    got = L[q - 1][j - 1]
                     iq = I[q - 1]
                     icut = tuple(x for x in I if x != iq)
                     if j in icut:
@@ -268,6 +271,46 @@ def test_identities_exact_random(shape):
                         swapped = tuple(sorted(icut + (j,)))
                         sign = minors._sign(minors._rank(swapped, j) + q)
                         assert got == sign * minor(F, A, swapped)
+
+
+def _laplace_by_definition(F, A, I, q, j):
+    # sum_p (-1)^{p+q} [F]_{A \\ a_p, I \\ i_q} F_{a_p j}, term by term through minor()
+    icut = I[: q - 1] + I[q:]
+    return sum(
+        minors._sign(p + q) * minor(F, A[: p - 1] + A[p:], icut) * F[A[p - 1] - 1][j - 1]
+        for p in range(1, len(A) + 1)
+    )
+
+
+def test_laplace_mixed_is_its_defining_sum_and_checks_the_adjugate_signs(monkeypatch):
+    from branesim.cli import cmd_verify
+
+    rng = random.Random(41)
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            lay = enumerate_layout(m, n)
+            for _ in range(5):
+                F = [[rng.randint(-15, 15) for _ in range(n)] for _ in range(m)]
+                for A, I in lay._raw:
+                    want = [
+                        [_laplace_by_definition(F, A, I, q, j) for j in range(1, n + 1)]
+                        for q in range(1, len(A) + 1)
+                    ]
+                    assert laplace_mixed(F, A, I) == want, (F, A, I)
+    # the Laplace suite reads its cofactors from the adjugate the solver uses, so one
+    # flipped off-diagonal sign there fails it wherever a pair has k >= 2
+    real = minors._adjugate
+
+    def flipped(rows):
+        adj = real(rows)
+        if len(adj) >= 2:
+            adj[0][1] = -adj[0][1]
+        return adj
+
+    monkeypatch.setattr(minors, "_adjugate", flipped)
+    assert cmd_verify(shapes=[(3, 1)], samples=4, seed=5).all_passed()  # k = 1 only
+    report = cmd_verify(shapes=[(2, 2), (3, 3)], samples=4, seed=5)
+    assert report.passes["laplace_mixed"]["fail"] == 8
 
 
 def test_z_is_symmetric_positive_definite():
