@@ -337,23 +337,28 @@ def cmd_simulate(config_path: str, output_dir: str | None = None) -> int:
     # the keys that size the run: its steps, and the snapshot times when there are any.  A
     # snapshot is written during the run; its OSError passes the inner _naming to name the output directory
     keys = "config.scheme.cfl, config.t_end" + (", config.snapshot_cadence" if cfg["snapshot_cadence"] else "")
-    with _naming(key, OSError):
-        try:
-            with _naming(keys):
-                rows = solver.run(
-                    fld,
-                    t_end=cfg["t_end"],
-                    cfl=cfg["cfl"],
-                    output_cadence=cfg["output_cadence"],
-                    oracle=oracle if cfg["oracle_compare"] else None,
-                    snapshot_cadence=cfg["snapshot_cadence"],
-                    on_snapshot=lambda t, snap: (out_dir / solver.snapshot_name(t)).write_text(solver.snapshot_to_json(snap)),
-                ).rows
-        except BlowUpError as exc:
-            (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(exc.rows))
-            print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}; {exc.reason}", file=sys.stderr)
-            return 3
-        (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(rows))
+    rows = []
+    try:
+        with _naming(key, OSError):
+            try:
+                with _naming(keys):
+                    solver.run(
+                        fld,
+                        t_end=cfg["t_end"],
+                        cfl=cfg["cfl"],
+                        output_cadence=cfg["output_cadence"],
+                        oracle=oracle if cfg["oracle_compare"] else None,
+                        snapshot_cadence=cfg["snapshot_cadence"],
+                        on_snapshot=lambda t, snap: (out_dir / solver.snapshot_name(t)).write_text(solver.snapshot_to_json(snap)),
+                        on_row=rows.append,
+                    )
+            finally:
+                # also after a blow-up, an interrupt or an unwritable snapshot; a refused run writes nothing
+                if rows:
+                    (out_dir / "diagnostics.csv").write_text(solver.rows_to_csv(rows))
+    except BlowUpError as exc:
+        print(f"blow-up at t={exc.t:.6g}; partial diagnostics written to {out_dir}; {exc.reason}", file=sys.stderr)
+        return 3
     names = ("t", "lambda_Linf", "omega_Linf", "phi_Linf", "psi_Linf", "sigma_Linf")
     print("final " + " ".join(f"{name}={solver._fmt(getattr(rows[-1], name))}" for name in names))
     return 0

@@ -80,7 +80,7 @@ class EmbeddingField:
         return out
 
 
-def _metric_from_gradients(dX: np.ndarray):
+def induced_metric(dX: np.ndarray):
     """(g_ij, det g, g^ij) per point of dX (ncomp, n, *sizes); BlowUpError if det g <= 0 anywhere.
 
     det g and the adjugate behind g^-1 = adj g / det g come from ``minors``, whose
@@ -93,17 +93,12 @@ def _metric_from_gradients(dX: np.ndarray):
     return g, detg, np.array(_adjugate(g)) / detg
 
 
-def induced_metric(E: EmbeddingField):
-    """(g_ij, det g, g^ij) per point; BlowUpError if the metric degenerates."""
-    return _metric_from_gradients(E.gradients())
-
-
 def _divergence(dX: np.ndarray, grid: Grid, metric=None) -> np.ndarray:
     """Discrete (1/sqrt g) d_i (sqrt g g^ij d_j X) from dX, shape (ncomp, *sizes).
 
-    ``metric`` is _metric_from_gradients(dX) when the caller already has it.
+    ``metric`` is induced_metric(dX) when the caller already has it.
     """
-    _, detg, ginv = _metric_from_gradients(dX) if metric is None else metric
+    _, detg, ginv = induced_metric(dX) if metric is None else metric
     sq = np.sqrt(detg)
     vel = np.zeros((dX.shape[0], *grid.sizes))
     for i in range(grid.n):
@@ -144,7 +139,7 @@ def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
     """
     grid = E.grid
     dX = E.gradients()
-    metric = _metric_from_gradients(dX)
+    metric = induced_metric(dX)
     c = float(np.max(np.einsum("ii...->...", metric[2])))
     lap = 0.0
     for j, (size, dx) in enumerate(zip(grid.sizes, grid.spacing)):

@@ -488,9 +488,7 @@ def march(state, t_end: float, dt_max: float, step, *, min_steps: int = 1, after
 
 @dataclass
 class RunResult:
-    rows: list
     field: GridField
-    dt: float
     steps: int
 
 
@@ -539,17 +537,18 @@ def run(
     oracle=None,
     snapshot_cadence: float | None = None,
     on_snapshot=lambda t, snap: None,
+    on_row=lambda row: None,
 ) -> RunResult:
     """Evolve the augmented field (and optionally the oracle) to t_end.
 
     ``march`` takes equal steps, bounded by the CFL bound at t = 0, that land
-    exactly on t_end.  Diagnostics rows are emitted at t = 0, every output
-    cadence, and at the end; a blow-up, in a step or in a row, aborts with
-    the rows before it attached to the raised error.  Snapshots, likewise at
-    t = 0, every snapshot cadence and the end, go to on_snapshot(t, snap) as
-    each is taken; snap["values"] is a view of the live state, valid only
-    during the call.  Snapshot times that share a snapshot_name raise
-    ConfigError before the first step.
+    exactly on t_end.  Diagnostics rows, taken at t = 0, every output cadence
+    and at the end, go to on_row(row) as each is taken; a blow-up, in a step
+    or in a row, raises after the rows before it have gone out.  Snapshots,
+    likewise at t = 0, every snapshot cadence and the end, go to
+    on_snapshot(t, snap) as each is taken; snap["values"] is a view of the
+    live state, valid only during the call.  Snapshot times that share a
+    snapshot_name raise ConfigError before the first step.
     """
     fld = fld.copy()
     dt_max = cfl_dt(fld, cfl)
@@ -562,7 +561,6 @@ def run(
     for a, b in pairwise(map(snapshot_name, times)):
         if a == b:
             raise ConfigError(f"two snapshot times format to one file name, {a}; keep them over 1e-6 apart")
-    rows = []
     n, dim = fld.grid.n, fld.layout.state_dim
 
     # one array steps both systems: W's rows, then the oracle's packed (F, D) rows when
@@ -598,17 +596,13 @@ def run(
         nonlocal primed
         fld.values = y[:dim]
         if k % out_every == 0 or k == steps:
-            rows.append(diagnostics(fld, t, _unpacked(y[dim:], n) if len(y) > dim else None, buffers[0][:dim]))
+            on_row(diagnostics(fld, t, _unpacked(y[dim:], n) if len(y) > dim else None, buffers[0][:dim]))
             primed = True
         if snap_every is not None and (k % snap_every == 0 or k == steps):
             on_snapshot(t, _snapshot(fld, t))
 
-    try:
-        march(start, t_end, dt_max, step, after=after)
-    except BlowUpError as exc:
-        exc.rows = rows
-        raise
-    return RunResult(rows, fld, dt, steps)
+    march(start, t_end, dt_max, step, after=after)
+    return RunResult(fld, steps)
 
 
 # ---------------------------------------------------------------------------

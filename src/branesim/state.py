@@ -39,13 +39,13 @@ class BlowUpError(RuntimeError):
     """A non-finite state, |tau| or |h| at most EPS_SINGULAR, or a degenerate metric; the CLI exits 3.
 
     Guards raise with t = nan; ``solver.march`` re-raises with the t of the failing step or row.
+    It carries no output: ``solver.run`` hands out each row and snapshot through its callbacks as it takes them.
     """
 
-    def __init__(self, t: float, reason: str = "non-finite state", rows=None):
+    def __init__(self, t: float, reason: str = "non-finite state"):
         super().__init__(f"{reason} at t={t:.6g}")
         self.t = t
         self.reason = reason
-        self.rows = rows or []
 
 
 @dataclass

@@ -57,7 +57,8 @@ def runs_n1():
     for N in (128, 256):
         grid = solver.Grid((N,), (TWO_PI,))
         fld, oracle, _ = solver.initial_fields(grid, 1, X_N1, V_N1)
-        out[N] = solver.run(fld, t_end=1.0, cfl=0.4, output_cadence=0.1, oracle=oracle)
+        out[N] = rows = []
+        solver.run(fld, t_end=1.0, cfl=0.4, output_cadence=0.1, oracle=oracle, on_row=rows.append)
     _timings["n1"] = time.perf_counter() - t0
     return out
 
@@ -69,7 +70,8 @@ def runs_n2():
     for N in (64, 128):
         grid = solver.Grid((N, N), (TWO_PI, TWO_PI))
         fld, oracle, _ = solver.initial_fields(grid, 1, X_N2, V_N2)
-        out[N] = solver.run(fld, t_end=1.0, cfl=0.4, output_cadence=0.5, oracle=oracle)
+        out[N] = rows = []
+        solver.run(fld, t_end=1.0, cfl=0.4, output_cadence=0.5, oracle=oracle, on_row=rows.append)
     _timings["n2"] = time.perf_counter() - t0
     return out
 
@@ -130,7 +132,7 @@ def test_criterion_3_n1_characteristics():
 
 
 def test_criterion_4_constraint_preservation(runs_n1, runs_n2):
-    r128, r256 = runs_n1[128].rows[-1], runs_n1[256].rows[-1]
+    r128, r256 = runs_n1[128][-1], runs_n1[256][-1]
     pairs_n1 = [
         ("lambda", r128.lambda_Linf, r256.lambda_Linf),
         ("omega", r128.omega_Linf, r256.omega_Linf),
@@ -140,7 +142,7 @@ def test_criterion_4_constraint_preservation(runs_n1, runs_n2):
     bad = _orders_ok(pairs_n1)
     abs_ok = max(r256.lambda_Linf, r256.omega_Linf, r256.phi_Linf, r256.psi_Linf) <= 1e-5
 
-    q64, q128 = runs_n2[64].rows[-1], runs_n2[128].rows[-1]
+    q64, q128 = runs_n2[64][-1], runs_n2[128][-1]
     pairs_n2 = [
         ("lambda2", q64.lambda_Linf, q128.lambda_Linf),
         ("omega2", q64.omega_Linf, q128.omega_Linf),
@@ -162,8 +164,8 @@ def test_criterion_4_constraint_preservation(runs_n1, runs_n2):
 
 
 def test_criterion_5_oracle_equivalence(runs_n1, runs_n2):
-    r128, r256 = runs_n1[128].rows[-1], runs_n1[256].rows[-1]
-    q64, q128 = runs_n2[64].rows[-1], runs_n2[128].rows[-1]
+    r128, r256 = runs_n1[128][-1], runs_n1[256][-1]
+    q64, q128 = runs_n2[64][-1], runs_n2[128][-1]
     pairs = [
         ("F n=1", r128.oracle_F_err_Linf, r256.oracle_F_err_Linf),
         ("D n=1", r128.oracle_D_err_Linf, r256.oracle_D_err_Linf),
@@ -183,9 +185,9 @@ def test_criterion_5_oracle_equivalence(runs_n1, runs_n2):
 
 
 def test_criterion_6_conservation(runs_n1):
-    E = np.array([row.total_energy for row in runs_n1[128].rows])
+    E = np.array([row.total_energy for row in runs_n1[128]])
     drift = float(np.max(np.abs(E - E[0])) / E[0])
-    ent_order = _order(runs_n1[128].rows[-1].entropy_residual_L2, runs_n1[256].rows[-1].entropy_residual_L2)
+    ent_order = _order(runs_n1[128][-1].entropy_residual_L2, runs_n1[256][-1].entropy_residual_L2)
     ok = drift <= 1e-8 and ent_order is not None and ent_order >= 1.8
     _report(6, ok, f"energy drift {drift:.2e} (<= 1e-8); entropy residual order {ent_order:.2f} (>= 1.8)")
 

@@ -423,12 +423,13 @@ def test_simulate_writes_a_snapshot_every_cadence_and_at_the_end(tmp_path):
 
 def test_an_interrupted_simulate_keeps_the_snapshots_it_took(tmp_path, monkeypatch):
     # each snapshot is on disk as soon as the run takes it: a run stopped in its third
-    # step leaves those at t = 0 and after steps 1 and 2, byte for byte as a whole run does
+    # step leaves those at t = 0 and after steps 1 and 2, byte for byte as a whole run does.
+    # The rows taken by then, one a step, are written too, as the first lines of the whole run's file
     moving = {
         "X_modes": [{"component": 1, "wave": [1], "amplitude": 0.1, "phase": 0.0}],
         "V_modes": [{"component": 1, "wave": [1], "amplitude": 0.05, "phase": 0.7}],
     }
-    path = flat_config(tmp_path, t_end=1.0, snapshot_cadence=1e-3, initial_data=moving)
+    path = flat_config(tmp_path, t_end=1.0, output_cadence=1e-3, snapshot_cadence=1e-3, initial_data=moving)
     assert main(["--output-dir", str(tmp_path / "whole"), "simulate", str(path)]) == 0
     real, calls = solver.rk4_step, []
 
@@ -441,10 +442,12 @@ def test_an_interrupted_simulate_keeps_the_snapshots_it_took(tmp_path, monkeypat
     monkeypatch.setattr(solver, "rk4_step", interrupt_third)
     with pytest.raises(KeyboardInterrupt):
         main(["--output-dir", str(tmp_path / "cut"), "simulate", str(path)])
-    cut = sorted((tmp_path / "cut").iterdir())
+    cut = sorted((tmp_path / "cut").glob("snapshot_*.json"))
     whole = sorted((tmp_path / "whole").glob("snapshot_*.json"))
     assert [p.name for p in cut] == [p.name for p in whole[:3]]
     assert [p.read_bytes() for p in cut] == [p.read_bytes() for p in whole[:3]]
+    cut_csv, whole_csv = ((tmp_path / d / "diagnostics.csv").read_bytes() for d in ("cut", "whole"))
+    assert cut_csv.splitlines(keepends=True) == whole_csv.splitlines(keepends=True)[:4]
 
 
 @pytest.mark.parametrize(
@@ -469,6 +472,11 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blo
     key = "--output-dir" if flag else "config.output_dir"
     reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
     assert out == "" and err == f"error: {key}: {reason}: '{tmp_path / 'out' / blocked}'\n"
+    if blocked.startswith("snapshot_t"):
+        # a row every one of the 13 steps: those up to the snapshot that failed are kept
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        last = round(float(blocked[len("snapshot_t") : -len(".json")]) * 13)
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx([k / 13 for k in range(last + 1)], rel=1e-15)
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):
@@ -491,12 +499,13 @@ def test_simulate_cadence_zero_or_beyond_t_end_is_end_only(tmp_path):
 def test_simulate_blowup_exits_3_with_partial_output(tmp_path, monkeypatch):
     path = flat_config(tmp_path)
 
-    def explode(*args, **kwargs):
-        raise solver.BlowUpError(0.125, rows=[solver.DiagnosticsRow(0, 1, 0, 0, 0, 0, 0, 0)])
+    def explode(*args, on_row, **kwargs):
+        on_row(solver.DiagnosticsRow(0, 1, 0, 0, 0, 0, 0, 0))
+        raise solver.BlowUpError(0.125)
 
     monkeypatch.setattr(solver, "run", explode)
     assert main(["simulate", str(path)]) == 3
-    assert (tmp_path / "out" / "diagnostics.csv").exists()
+    assert (tmp_path / "out" / "diagnostics.csv").read_text() == solver.CSV_HEADER + "\n0,1,0,0,0,0,0,0,,\n"
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -1080,6 +1089,21 @@ def test_every_function_the_benchmark_traces_exists():
     for m, n, terms in ((1, 2, 28), (3, 2, 94)):
         fld, _, _ = solver.initial_fields(grid, m, [], [])
         assert spans._point_terms(fld) == terms * 72
+    # the tracer counts len(result.encode()) of each COUNTS_BYTES function, so each must
+    # return its whole text as one str: here on the rows and a snapshot of a tiny run
+    rows, snaps = [], []
+    solver.run(
+        fld,
+        t_end=0.1,
+        cfl=0.4,
+        snapshot_cadence=0.1,
+        on_snapshot=lambda t, snap: snaps.append({**snap, "values": snap["values"].copy()}),
+        on_row=rows.append,
+    )
+    args = {"solver.rows_to_csv": rows, "solver.snapshot_to_json": snaps[-1]}
+    assert set(args) == set(spans.COUNTS_BYTES)
+    for name, arg in args.items():
+        assert isinstance(getattr(solver, name.split(".")[1])(arg), str), name
 
 
 def _raise(exc):
@@ -1093,7 +1117,7 @@ def _zero_tau():
 
 def _flat_metric():
     grid = solver.Grid((16,), (2 * math.pi,))
-    mcf.induced_metric(mcf.EmbeddingField.from_closed_curve(grid, np.zeros((2, 16))))
+    mcf.induced_metric(mcf.EmbeddingField.from_closed_curve(grid, np.zeros((2, 16))).gradients())
 
 
 @pytest.mark.parametrize(

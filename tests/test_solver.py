@@ -343,10 +343,11 @@ def test_blowup_right_after_a_row_replays_every_stage(monkeypatch):
     g = Grid((16, 16), (TWO_PI, TWO_PI))
     fld, ora, _ = initial_fields(g, 1, [Mode(1, (1, 0), 0.1, 0.0)], [Mode(1, (1, 1), 0.05, 0.3)])
     monkeypatch.setattr(solver, "rhs_augmented", _poison(solver.rhs_augmented, 2, (5, 3, 7)))
+    rows = []
     with pytest.raises(BlowUpError) as info:
-        run(fld, t_end=0.5, cfl=0.4, oracle=ora, output_cadence=1e-9)
+        run(fld, t_end=0.5, cfl=0.4, oracle=ora, output_cadence=1e-9, on_row=rows.append)
     assert info.value.reason == "non-finite state in RK stage 2: m_[1]_[2] at grid index [3, 7]"
-    assert len(info.value.rows) == 2
+    assert len(rows) == 2
 
 
 def test_run_evaluates_the_slope_of_a_row_once(monkeypatch):
@@ -360,8 +361,9 @@ def test_run_evaluates_the_slope_of_a_row_once(monkeypatch):
     g = Grid((64,), (TWO_PI,))
     fld, _, _ = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (2,), 0.05, 0.3)])
     monkeypatch.setattr(solver, "rhs_augmented", counted)
-    res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1)
-    assert len(res.rows) == 4 and res.steps > 4
+    rows = []
+    res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, on_row=rows.append)
+    assert len(rows) == 4 and res.steps > 4
     # four stages a step and one evaluation a row; each row but the last is the next step's first stage
     assert len(calls) == 4 * res.steps + 1
 
@@ -394,8 +396,9 @@ def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
                     mp.setattr(solver, "derivative", roll_derivative)
                     mp.setattr(solver, "rk4_step", reference_rk4_step)
                     mp.setattr(flux, "apply_terms", reference_apply_terms)
-                res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, oracle=ora if with_oracle else None)
-            results.append((solver.rows_to_csv(res.rows), res.field.values))
+                rows = []
+                res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, oracle=ora if with_oracle else None, on_row=rows.append)
+            results.append((solver.rows_to_csv(rows), res.field.values))
         (csv, values), (want_csv, want_values) = results
         assert csv == want_csv and np.array_equal(values, want_values)
         assert (csv.split("\n")[-2].endswith(",,")) != with_oracle
@@ -569,8 +572,9 @@ def test_initial_data_and_an_oracle_run_call_no_lapack_solve_or_det(monkeypatch)
     monkeypatch.setattr(np.linalg, "det", refuse)
     g = Grid((16, 12), (TWO_PI, 5.0))
     fld, ora, _ = initial_fields(g, 2, [Mode(1, (1, 0), 0.1), Mode(2, (0, 1), 0.1, 0.5)], [Mode(2, (1, 1), 0.05, 0.3)])
-    res = run(fld, t_end=0.3, cfl=0.4, oracle=ora)
-    assert res.steps >= 2 and res.rows[-1].oracle_D_err_Linf < 1e-3
+    rows = []
+    res = run(fld, t_end=0.3, cfl=0.4, oracle=ora, on_row=rows.append)
+    assert res.steps >= 2 and rows[-1].oracle_D_err_Linf < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -599,8 +603,9 @@ def test_initial_fields_reject_data_that_overflows(grid, m, x_modes, match):
 def test_run_flat_diagnostics_constant():
     g = Grid((32,), (TWO_PI,))
     fld, ora, _ = initial_fields(g, 1, [], [])
-    res = run(fld, t_end=0.5, cfl=0.4, output_cadence=0.1, oracle=ora)
-    for row in res.rows:
+    rows = []
+    run(fld, t_end=0.5, cfl=0.4, output_cadence=0.1, oracle=ora, on_row=rows.append)
+    for row in rows:
         assert row.total_energy == pytest.approx(TWO_PI, rel=1e-14)
         assert row.entropy_residual_L2 <= 1e-12
         assert row.lambda_Linf == 0.0 and row.omega_Linf == 0.0
@@ -614,10 +619,11 @@ def test_run_energy_conservation_and_constraint_order():
     for N in (64, 128):
         g = Grid((N,), (TWO_PI,))
         fld, _, _ = initial_fields(g, 1, X, V)
-        res = run(fld, t_end=1.0, cfl=0.4, output_cadence=0.25)
-        E = np.array([r.total_energy for r in res.rows])
+        rows = []
+        run(fld, t_end=1.0, cfl=0.4, output_cadence=0.25, on_row=rows.append)
+        E = np.array([r.total_energy for r in rows])
         assert np.max(np.abs(E - E[0])) / E[0] <= 1e-8
-        finals[N] = res.rows[-1]
+        finals[N] = rows[-1]
     assert math.log2(finals[64].lambda_Linf / finals[128].lambda_Linf) > 1.8
     assert math.log2(finals[64].omega_Linf / finals[128].omega_Linf) > 1.8
 
@@ -641,9 +647,9 @@ def test_run_time_reversal_returns_to_initial():
     assert return_err <= 2.0 * fwd_err
 
 
-def test_run_blowup_carries_partial_rows():
-    # v v' overflows inside the first right-hand side; the error must carry
-    # the rows gathered so far.  A speed of 1e155 bounds the step near 5e-157,
+def test_run_blowup_hands_out_the_rows_before_it():
+    # v v' overflows inside the first right-hand side, after the row at t = 0 has
+    # gone to on_row.  A speed of 1e155 bounds the step near 5e-157,
     # so t_end stays small enough for the step count to pass the MAX_STEPS guard.
     g = Grid((32,), (TWO_PI,))
     lay = enumerate_layout(1, 1)
@@ -651,9 +657,10 @@ def test_run_blowup_carries_partial_rows():
     vals = np.stack([np.ones(32), np.zeros(32), 1e155 * (1.0 + 0.5 * np.sin(x)), np.zeros(32)])
     fld = GridField(g, lay, vals)
     t_end = 1e-153
+    rows = []
     with pytest.raises(BlowUpError) as info:
-        run(fld, t_end=t_end, cfl=0.4, output_cadence=0.1)
-    assert len(info.value.rows) >= 1
+        run(fld, t_end=t_end, cfl=0.4, output_cadence=0.1, on_row=rows.append)
+    assert [row.t for row in rows] == [0.0]
     # the first step fails, so the time is that of step 1
     assert info.value.t == t_end / math.ceil(t_end / cfl_dt(fld, 0.4))
 
@@ -661,9 +668,10 @@ def test_run_blowup_carries_partial_rows():
 def test_oracle_equivalence_small_run():
     g = Grid((128,), (TWO_PI,))
     fld, ora, _ = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (1,), 0.05, 0.7)])
-    res = run(fld, t_end=0.5, cfl=0.4, oracle=ora)
-    assert res.rows[-1].oracle_F_err_Linf < 1e-5
-    assert res.rows[-1].oracle_D_err_Linf < 1e-5
+    rows = []
+    run(fld, t_end=0.5, cfl=0.4, oracle=ora, on_row=rows.append)
+    assert rows[-1].oracle_F_err_Linf < 1e-5
+    assert rows[-1].oracle_D_err_Linf < 1e-5
 
 
 def test_turning_the_oracle_on_changes_no_byte_of_the_field():
@@ -671,7 +679,7 @@ def test_turning_the_oracle_on_changes_no_byte_of_the_field():
     X = [Mode(1, (1, 0), 0.1, 0.0), Mode(2, (0, 1), 0.1, 0.5)]
     fld, ora, _ = initial_fields(g, 2, X, [Mode(2, (1, 1), 0.05, 0.3)])
     # a snapshot's values are a view of the live state, so each is serialised as it is taken
-    snaps, snaps_o = [], []
+    snaps, snaps_o, rows, rows_o = [], [], [], []
     runs = [
         run(
             fld,
@@ -681,16 +689,18 @@ def test_turning_the_oracle_on_changes_no_byte_of_the_field():
             snapshot_cadence=0.5,
             oracle=o,
             on_snapshot=lambda t, snap, texts=texts: texts.append(solver.snapshot_to_json(snap)),
+            on_row=got.append,
         )
-        for o, texts in ((None, snaps), (ora, snaps_o))
+        for o, texts, got in ((None, snaps, rows), (ora, snaps_o, rows_o))
     ]
     (csv, values), (csv_o, values_o) = (
-        ([line.split(",")[:8] for line in solver.rows_to_csv(r.rows).splitlines()], r.field.values) for r in runs
+        ([line.split(",")[:8] for line in solver.rows_to_csv(got).splitlines()], r.field.values)
+        for got, r in zip((rows, rows_o), runs)
     )
     assert runs[0].steps > 4 and len(csv) == 6 and len(snaps) == 3
     assert csv == csv_o and snaps == snaps_o and values.tobytes() == values_o.tobytes()
     # the oracle columns are filled only when the oracle runs
-    assert runs[0].rows[-1].oracle_F_err_Linf is None and runs[1].rows[-1].oracle_F_err_Linf < 1e-3
+    assert rows[-1].oracle_F_err_Linf is None and rows_o[-1].oracle_F_err_Linf < 1e-3
 
 
 def test_a_snapshot_every_step_keeps_none_of_them_alive():
@@ -717,8 +727,9 @@ def test_a_snapshot_every_step_keeps_none_of_them_alive():
 def test_csv_rows_format():
     g = Grid((32,), (TWO_PI,))
     fld, _, _ = initial_fields(g, 1, [], [])
-    res = run(fld, t_end=0.1, cfl=0.4)
-    text = solver.rows_to_csv(res.rows)
+    rows = []
+    run(fld, t_end=0.1, cfl=0.4, on_row=rows.append)
+    text = solver.rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == solver.CSV_HEADER
     # optional oracle columns stay empty when the oracle is off
