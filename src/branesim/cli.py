@@ -26,7 +26,8 @@ from .solver import Grid, Mode
 from .state import EPS_SINGULAR, BlowUpError, PrimitiveState
 
 DEFAULT_VERIFY_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
-# the layout enumerates C(m + n, n) - 1 minors: one 6x6 sample takes about 0.06 s of CPU time (2-core Xeon), 8x8 far longer
+# the layout enumerates C(m + n, n) - 1 minors, and a k x k determinant past 3x3 is a k!-term cofactor
+# expansion: one 6x6 sample takes about 0.06 s of CPU time (2-core Xeon), 8x8 far longer
 MAX_VERIFY_DIM = 6
 
 

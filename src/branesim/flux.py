@@ -21,7 +21,6 @@ They are cross-checked against each other by the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -177,16 +176,17 @@ def _symmetric_triplets(m: int, n: int, j: int) -> tuple[tuple[int, int, int, in
 def assemble_A(j: int, W: PrimitiveState):
     """The symmetric matrix A_j(W), rows and columns in state-vector order.
 
-    Grid-valued states give one matrix per point, shape (*grid, dim, dim);
-    exact (Fraction) entries give an object array.
+    Grid-valued states give one matrix per point, shape (*grid, dim, dim).
+    The array is float when every entry is a float or a float array, and
+    object otherwise, so exact (int, Fraction) entries stay exact.
     """
     lay = W.layout
     if not 1 <= j <= lay.n:
         raise ConfigError(f"direction {j} out of range 1..{lay.n}")
     vec = W.as_vector()
-    exact = any(isinstance(x, Fraction) for x in vec)
+    floats = all(np.asarray(x).dtype.kind == "f" for x in vec)
     dim = lay.state_dim
-    mat = np.zeros((*np.shape(vec[0]), dim, dim), dtype=object if exact else float)
+    mat = np.zeros((*np.shape(vec[0]), dim, dim), dtype=float if floats else object)
     for p, q, slot, sign in _symmetric_triplets(lay.m, lay.n, j):
         mat[..., p, q] += sign * vec[slot]
     return mat

@@ -1,9 +1,11 @@
 """Exact algebra of matrix minors.
 
-Everything in here is written generically over the scalar type: pass ints or
-`fractions.Fraction` entries for exact identity checking (verify draws ints),
-floats for the solver path, or numpy arrays as entries to evaluate a formula
-over a whole grid at once.  No function mutates its arguments.
+Entries only meet +, -, * (with each other and with integers) and ** 0: no
+division and no truth test, so everything works over any commutative ring.
+Pass ints, `fractions.Fraction` or any other exact scalar for identity
+checking (verify draws ints), floats for the solver path, or numpy arrays as
+entries to evaluate a formula over a whole grid at once, at every matrix
+size.  No function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -138,10 +140,13 @@ def _dims(rows) -> tuple[int, int]:
 
 
 def _det(rows) -> object:
-    """Determinant of a small square matrix of generic scalars.
+    """Determinant of a small square matrix over any commutative ring.
 
-    Laplace-style closed forms up to 3x3, fraction-free elimination above;
-    the closed forms are branch-free so array-valued entries work too.
+    Cofactor expansion along the first row down to the 3x3 and 2x2 closed
+    forms, which are that expansion written out.  It only adds, subtracts and
+    multiplies entries: no division and no branch on a value, so exact
+    integers stay integers, array-valued entries work at every size, and so
+    does any scalar with ring arithmetic.
     """
     k = len(rows)
     if k == 0:
@@ -153,30 +158,12 @@ def _det(rows) -> object:
     if k == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return _det_bareiss(rows)
-
-
-def _det_bareiss(rows):
-    a = [list(r) for r in rows]
-    k = len(a)
-    sign = 1
-    prev = 1
-    for p in range(k - 1):
-        if a[p][p] == 0:
-            for q in range(p + 1, k):
-                if a[q][p] != 0:
-                    a[p], a[q] = a[q], a[p]
-                    sign = -sign
-                    break
-            else:
-                return 0 * a[0][0]
-        for i in range(p + 1, k):
-            for j in range(p + 1, k):
-                num = a[i][j] * a[p][p] - a[i][p] * a[p][j]
-                # Bareiss division is exact; keep integers in the integers
-                a[i][j] = num // prev if isinstance(num, int) else num / prev
-        prev = a[p][p]
-    return sign * a[-1][-1]
+    # unpacking, not r[:j] + r[j + 1:], which adds the rows of an ndarray elementwise
+    terms = (rows[0][j] * _det([[*r[:j], *r[j + 1:]] for r in rows[1:]]) for j in range(k))
+    total = next(terms)
+    for j, term in enumerate(terms, 1):
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def _adjugate(rows) -> list[list]:

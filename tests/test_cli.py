@@ -245,7 +245,7 @@ def test_verify_hands_the_minors_layer_only_ints(monkeypatch):
 
 
 def test_verify_passes_on_shapes_past_the_defaults():
-    # 4x4 minors take the Bareiss determinant, and both shapes need tables of their own
+    # 4x4 minors take the cofactor expansion past 3x3, and both shapes need tables of their own
     report = cmd_verify(shapes=[(4, 4), (5, 3)], samples=2, seed=0)
     assert report.all_passed()
     assert all(v == {"pass": 4, "fail": 0} for v in report.passes.values())

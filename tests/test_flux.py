@@ -38,6 +38,9 @@ def test_assemble_A_scalar_string_rows():
         [[v, 0, -tau, 0], [0, v, 0, tau], [-tau, 0, v, 0], [0, tau, 0, v]], dtype=object
     )
     assert (A == expect).all()
+    # integer entries are exact too: only float entries give a float array
+    A = assemble_A(1, PrimitiveState(3, [-2], [1], [4], lay))
+    assert A.dtype == object and all(type(x) is int for x in A.flat)
 
 
 def test_assemble_A_zero_state():

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as Fr
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -151,17 +152,82 @@ def test_all_minors_examples():
         all_minors([[1, 2, 3]], lay)
 
 
-def test_minor_large_block_uses_elimination():
+def _leibniz(F):
+    """Sum over permutations of signed products: an oracle independent of the cofactor expansion."""
+    total = 0
+    for perm in permutations(range(len(F))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = minors._sign(inversions)
+        for row, col in enumerate(perm):
+            term = term * F[row][col]
+        total = total + term
+    return total
+
+
+class RingOnly:
+    """An integer that offers only ring arithmetic: no division and no truth value."""
+
+    def __init__(self, v):
+        self.v = v
+
+    @staticmethod
+    def _val(x):
+        return x.v if isinstance(x, RingOnly) else x
+
+    def __add__(self, o):
+        return RingOnly(self.v + self._val(o))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return RingOnly(self.v - self._val(o))
+
+    def __rsub__(self, o):
+        return RingOnly(self._val(o) - self.v)
+
+    def __neg__(self):
+        return RingOnly(-self.v)
+
+    def __mul__(self, o):
+        return RingOnly(self.v * self._val(o))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        if e != 0:
+            raise TypeError("only ** 0")
+        return RingOnly(1)
+
+    def __eq__(self, o):
+        return self.v == self._val(o)
+
+    def _no(self, *_):
+        raise TypeError("not a ring operation")
+
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = __bool__ = _no
+
+
+def test_large_determinants_match_the_leibniz_sum_over_any_ring():
     rng = random.Random(5)
-    for _ in range(10):
-        F = rand_matrix(rng, 4, 4)
-        got = minor(F, (1, 2, 3, 4), (1, 2, 3, 4))
-        # cofactor expansion as an independent oracle
-        want = sum(
-            minors._sign(1 + q) * F[0][q - 1] * minor(F, (2, 3, 4), tuple(c for c in (1, 2, 3, 4) if c != q))
-            for q in range(1, 5)
-        )
-        assert got == want
+    for k in (4, 5, 6):
+        for _ in range(3):
+            F = rand_matrix(rng, k, k)
+            assert minor(F, range(1, k + 1), range(1, k + 1)) == _leibniz(F)
+            G = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+            got = minors._det([[RingOnly(x) for x in row] for row in G])
+            assert type(got) is RingOnly and got == _leibniz(G)
+    # integer entries give an integer determinant at every size
+    G = np.random.default_rng(5).integers(-5, 6, (4, 4))
+    got = minor(G, (1, 2, 3, 4), (1, 2, 3, 4))
+    assert isinstance(got, np.integer) and got == _leibniz(G.tolist())
+    # the determinant side of the identities needs only ring arithmetic at 4x4 too
+    G = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+    R = [[RingOnly(x) for x in row] for row in G]
+    assert xi(R) == xi(G)
+    for name in ("xi_prime", "z_matrix"):
+        got, want = getattr(minors, name)(R), getattr(minors, name)(G)
+        assert all(type(x) is RingOnly for row in got for x in row), name
+        assert got == want, name
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +393,7 @@ def test_z_is_symmetric_positive_definite():
 # the determinant side on array entries, as the oracle and the MCF metric run it
 
 
-@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(m, n) for m in (1, 2) for n in (4, 5)])
 def test_determinant_side_on_grid_arrays_matches_each_point_exactly(shape):
     # small integer values keep every float product and sum exact, so the
     # whole-grid evaluation must equal the per-point Fraction one bit for bit
