@@ -244,6 +244,10 @@ def _rand_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
     return [[rng.randint(-15, 15) for _ in range(n)] for _ in range(m)]
 
 
+def _strs(F) -> list[list[str]]:
+    return [[str(x) for x in row] for row in F]
+
+
 def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
     """Run every exact identity suite; failures carry a reproducing input."""
     t0 = time.perf_counter()
@@ -252,16 +256,18 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
     for name in names:
         report.passes[name] = {"pass": 0, "fail": 0}
 
-    def record(name, ok, shape, payload):
+    def record(name, ok, shape, drawn):
         report.passes[name]["pass" if ok else "fail"] += 1
         if not ok:
+            # the drawn F, or {"M": M, "N": N}, as strings: built only for a failure
+            payload = {k: _strs(v) for k, v in drawn.items()} if isinstance(drawn, dict) else _strs(drawn)
             report.failures.append({"identity": name, "shape": list(shape), "input": payload})
 
     rng = random.Random(seed)
     for m, n in shapes:
         layout = enumerate_layout(m, n)
-        # per pair (A, I), the expected Laplace matrix as (sign, slot) per entry (q, j): the
-        # slot of the minor with column i_q replaced by j, or sign 0 when j lies in I \ {i_q}
+        # per pair (A, I) in layout order, the expected Laplace matrix as (sign, slot) per entry (q, j):
+        # the slot of the minor with column i_q replaced by j, or sign 0 when j lies in I \ {i_q}
         laplace_cases = []
         for A, I in layout._raw:
             expected = [[(0, 0)] * n for _ in A]
@@ -272,43 +278,29 @@ def cmd_verify(shapes, samples: int, seed: int) -> VerifyReport:
                         swapped = tuple(sorted(icut + (j,)))
                         s = minors._sign(minors._rank(swapped, j) + q)
                         expected[q - 1][j - 1] = (s, layout.index_of[(A, swapped)])
-            laplace_cases.append((A, I, expected))
+            laplace_cases.append(expected)
         for _ in range(samples):
             F = _rand_matrix(rng, m, n)
-            payload = [[str(x) for x in row] for row in F]
             mF = minors.all_minors(F, layout)
-
-            ok = minors.xi(F) == minors.xi_minor_sum(mF, layout)
-            record("xi", ok, (m, n), payload)
-
-            ok = minors.xi_prime(F) == minors.xi_prime_minor_sum(mF, layout)
-            record("xi_prime", ok, (m, n), payload)
-
-            ok = minors.z_matrix(F) == minors.z_minor_sum(mF, layout)
-            record("z_matrix", ok, (m, n), payload)
-
-            ok3 = all(
-                minors.laplace_mixed(F, A, I) == [[s * mF[slot] for s, slot in row] for row in expected]
-                for A, I, expected in laplace_cases
+            xi, Z, xp = minors.xi_prime(F)
+            record("xi", xi == minors.xi_minor_sum(mF, layout), (m, n), F)
+            record("xi_prime", xp == minors.xi_prime_minor_sum(mF, layout), (m, n), F)
+            record("z_matrix", Z == minors.z_minor_sum(mF, layout), (m, n), F)
+            ok = all(
+                L == [[s * mF[slot] for s, slot in row] for row in expected]
+                for L, expected in zip(minors.laplace_mixed(F, layout), laplace_cases)
             )
-            record("laplace_mixed", ok3, (m, n), payload)
+            record("laplace_mixed", ok, (m, n), F)
 
             l = rng.randint(1, 3)
             M = _rand_matrix(rng, m, l)
             N = _rand_matrix(rng, l, n)
-            okcb = True
-            for k in range(0, min(m, n, l) + 1):
-                I = tuple(sorted(rng.sample(range(1, m + 1), k)))
-                J = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                lhs, rhs = minors.cauchy_binet_check(M, N, I, J)
-                if lhs != rhs:
-                    okcb = False
-            record(
-                "cauchy_binet",
-                okcb,
-                (m, n),
-                {"M": [[str(x) for x in r] for r in M], "N": [[str(x) for x in r] for r in N]},
-            )
+            pairs = [
+                (tuple(sorted(rng.sample(range(1, m + 1), k))), tuple(sorted(rng.sample(range(1, n + 1), k))))
+                for k in range(min(m, n, l) + 1)
+            ]
+            ok = all(lhs == rhs for lhs, rhs in minors.cauchy_binet_check(M, N, pairs))
+            record("cauchy_binet", ok, (m, n), {"M": M, "N": N})
     report.elapsed_s = time.perf_counter() - t0
     return report
 

@@ -256,40 +256,47 @@ def minor(F, A, I):
     return _det(_submatrix(rows, a, i))
 
 
-def all_minors(F, layout: MinorLayout) -> list:
-    """All minors of F in layout order."""
+def _layout_rows(F, layout: MinorLayout) -> list[list]:
     rows = _rows(F)
     m, n = _dims(rows)
     if (m, n) != (layout.m, layout.n):
         raise ConfigError(f"matrix is {m}x{n} but layout is {layout.m}x{layout.n}")
+    return rows
+
+
+def all_minors(F, layout: MinorLayout) -> list:
+    """All minors of F in layout order."""
+    rows = _layout_rows(F, layout)
     return [_det(_submatrix(rows, A, I)) for A, I in layout._raw]
 
 
-def cauchy_binet_check(M, N, I, J):
-    """(lhs, rhs) of the Cauchy-Binet identity [MN]_{I,J} = sum_K [M]_{I,K}[N]_{K,J}."""
+def cauchy_binet_check(M, N, pairs) -> list[tuple]:
+    """(lhs, rhs) of the Cauchy-Binet identity [MN]_{I,J} = sum_K [M]_{I,K}[N]_{K,J} per pair; MN is formed once."""
     mr = _rows(M)
     nr = _rows(N)
     m, l = _dims(mr)
     l2, n = _dims(nr)
     if l != l2:
         raise ConfigError(f"inner dimensions differ: {l} vs {l2}")
-    iset, jset = _index_set(I, m, "row set"), _index_set(J, n, "column set")
-    k = len(iset)
-    if len(jset) != k:
-        raise ConfigError("row and column subsets must have equal size")
-    if k > l:
-        raise ConfigError(f"subset size {k} exceeds inner dimension {l}")
     prod = [[sum(mr[a][t] * nr[t][b] for t in range(l)) for b in range(n)] for a in range(m)]
-    lhs = minor(prod, iset, jset)
-    rhs = 0
-    for K in combinations(range(1, l + 1), k):
-        rhs = rhs + _det(_submatrix(mr, iset, K)) * _det(_submatrix(nr, K, jset))
-    return lhs, rhs
+    out = []
+    for I, J in pairs:
+        iset, jset = _index_set(I, m, "row set"), _index_set(J, n, "column set")
+        k = len(iset)
+        if len(jset) != k:
+            raise ConfigError("row and column subsets must have equal size")
+        if k > l:
+            raise ConfigError(f"subset size {k} exceeds inner dimension {l}")
+        rhs = 0
+        for K in combinations(range(1, l + 1), k):
+            rhs = rhs + _det(_submatrix(mr, iset, K)) * _det(_submatrix(nr, K, jset))
+        out.append((minor(prod, iset, jset), rhs))
+    return out
 
 
 def xi(F):
-    """det(I_n + F^T F), the area-element factor of the graph."""
-    return _det(_gram_plus_identity(_rows(F)))
+    """det(I_n + F^T F), the area-element factor of the graph: the first of xi_prime(F)."""
+    return xi_prime(F)[0]
 
 
 def _squares(minors_vec):
@@ -308,15 +315,17 @@ def xi_minor_sum(minors_vec, layout: MinorLayout):
 
 
 def xi_prime(F):
-    """Half-gradient of xi: xi'(F)_{ai} = xi (I_n + F^T F)^{-1}_{ij} F_{aj}.
+    """(xi, Z, xi') from one I_n + F^T F: its determinant, its adjugate Z and F Z.
 
+    xi'(F)_{ai} = xi (I_n + F^T F)^{-1}_{ij} F_{aj} is the half-gradient of xi.
     Evaluated through the adjugate, so it is exact on integer or rational input
     and never divides (I_n + F^T F is positive definite, but no inverse is formed).
     """
     rows = _rows(F)
     m, n = _dims(rows)
-    adj = _adjugate(_gram_plus_identity(rows))
-    return [[sum(rows[a][j] * adj[j][i] for j in range(n)) for i in range(n)] for a in range(m)]
+    gram = _gram_plus_identity(rows)
+    adj = _adjugate(gram)
+    return _det(gram), adj, [[sum(rows[a][j] * adj[j][i] for j in range(n)) for i in range(n)] for a in range(m)]
 
 
 def xi_prime_minor_sum(minors_vec, layout: MinorLayout):
@@ -332,8 +341,8 @@ def xi_prime_minor_sum(minors_vec, layout: MinorLayout):
 
 
 def z_matrix(F):
-    """Z = xi (I_n + F^T F)^{-1}, via the adjugate; symmetric positive definite."""
-    return _adjugate(_gram_plus_identity(_rows(F)))
+    """Z = xi (I_n + F^T F)^{-1}, via the adjugate; symmetric positive definite: the second of xi_prime(F)."""
+    return xi_prime(F)[1]
 
 
 def z_minor_sum(minors_vec, layout: MinorLayout):
@@ -349,21 +358,18 @@ def z_minor_sum(minors_vec, layout: MinorLayout):
     return [out[r * n : r * n + n] for r in range(n)]
 
 
-def laplace_mixed(F, A, I):
-    """Mixed Laplace sums of one pair: the k x n matrix L with
-    L[q-1][j-1] = sum_p (-1)^{p+q} [F]_{A\\{a_p}, I\\{i_q}} F_{a_p j}.
+def laplace_mixed(F, layout: MinorLayout) -> list:
+    """Mixed Laplace sums of every pair (A, I) of the layout, in layout order: the k x n
+    matrix L with L[q-1][j-1] = sum_p (-1)^{p+q} [F]_{A\\{a_p}, I\\{i_q}} F_{a_p j}.
 
     Entry (q, j) equals 0 when j lies in I\\{i_q}, and otherwise a signed minor
     with column i_q replaced by j; the contract is exercised by the tests.  The
     signed sub-minors are the cofactors of F[A, I], so L = adj(F[A, I]) F[A, :].
-    A and I are strictly increasing index sets within 1..m and 1..n.
     """
-    rows = _rows(F)
-    m, n = _dims(rows)
-    a, iset = _index_set(A, m, "row set"), _index_set(I, n, "column set")
-    k = len(a)
-    if k != len(iset) or k < 1:
-        raise ConfigError("need |A| = |I| >= 1")
-    adj = _adjugate(_submatrix(rows, a, iset))
-    cols = list(zip(*(rows[p - 1] for p in a)))  # the columns of F[A, :]
-    return [[sum(map(mul, adj_row, col)) for col in cols] for adj_row in adj]
+    rows = _layout_rows(F, layout)
+    out = []
+    for A, I in layout._raw:
+        adj = _adjugate(_submatrix(rows, A, I))
+        cols = list(zip(*(rows[p - 1] for p in A)))  # the columns of F[A, :]
+        out.append([[sum(map(mul, adj_row, col)) for col in cols] for adj_row in adj])
+    return out

@@ -5,8 +5,8 @@ Two evolutions share only the grid and stencil code:
 * the augmented path evolves the primitive field W with the symmetric-system
   right-hand side;
 * the oracle path evolves the original graph unknowns (F, D), with xi and its
-  gradient from ``minors.xi`` and ``minors.xi_prime``: the determinant and
-  adjugate of I + F^T F, which ``verify`` checks against the minor sums, and
+  gradient from one ``minors.xi_prime`` call: the determinant and adjugate of
+  one I + F^T F, the call that ``verify`` checks against the minor sums, and
   never the minors themselves.
 
 Diagnostics track the energy, the entropy-law residual, the constraint
@@ -170,8 +170,8 @@ def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
     if n != grid.n:
         raise ConfigError("F shape does not match grid dimension")
     P = np.einsum("ai...,a...->i...", F, D)
-    xp = xi_prime(F)
-    h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi(F))
+    xi_F, _, xp = xi_prime(F)
+    h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi_F)
     dF, dD = (np.empty_like(F), np.empty_like(D)) if out is None else out
     dD.fill(0.0)
     for alpha in range(m):

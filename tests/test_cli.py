@@ -136,16 +136,17 @@ def test_verify_report_bytes_are_pinned():
     assert hashlib.sha256(doc.encode()).hexdigest() == "13efdac10f966740feeca9a89e0b0651bbeff3c10aaf725e1770d36ab626f319"
 
 
-# the identity each planted fault breaks, by the minors function it is planted in
+# per planted fault, the minors function it is planted in and the identity it breaks; xi, Z and
+# xi' are the three parts of one xi_prime call, so their faults go into that call's output
 PLANTED = {
-    "laplace_mixed": "laplace_mixed",
-    "cauchy_binet_check": "cauchy_binet",
-    "xi": "xi",
-    "xi_minor_sum": "xi",
-    "xi_prime": "xi_prime",
-    "xi_prime_minor_sum": "xi_prime",
-    "z_matrix": "z_matrix",
-    "z_minor_sum": "z_matrix",
+    "laplace_mixed": ("laplace_mixed", "laplace_mixed"),
+    "cauchy_binet_check": ("cauchy_binet_check", "cauchy_binet"),
+    "xi": ("xi_prime", "xi"),
+    "xi_minor_sum": ("xi_minor_sum", "xi"),
+    "xi_prime": ("xi_prime", "xi_prime"),
+    "xi_prime_minor_sum": ("xi_prime_minor_sum", "xi_prime"),
+    "z_matrix": ("xi_prime", "z_matrix"),
+    "z_minor_sum": ("z_minor_sum", "z_matrix"),
 }
 
 
@@ -158,32 +159,40 @@ def test_verify_failures_carry_the_drawn_matrices(monkeypatch, fault):
         draws.append(real_draw(rng, m, n))
         return draws[-1]
 
-    real = getattr(minors, fault)
+    target, name = PLANTED[fault]
+    real = getattr(minors, target)
 
     def planted(*args):
         out = real(*args)
         if fault == "cauchy_binet_check":
-            return out[0], out[1] + 1
-        if fault in ("xi", "xi_minor_sum"):
+            (lhs, rhs), *rest = out  # the first pair of the call
+            return [(lhs, rhs + 1), *rest]
+        if fault == "xi":
+            return out[0] + 1, out[1], out[2]
+        if fault == "xi_minor_sum":
             return out + 1
-        # a matrix: xi_prime, z_matrix, their minor sums, or the k x n Laplace matrix of one pair
-        out[0][0] = out[0][0] + 1
+        # a matrix: Z or xi' (the F·Z product) of xi_prime, a minor sum, or the first pair's Laplace matrix
+        if target == "xi_prime":
+            mat = out[1] if fault == "z_matrix" else out[2]
+        else:
+            mat = out[0] if fault == "laplace_mixed" else out
+        mat[0][0] = mat[0][0] + 1
         return out
 
     monkeypatch.setattr(cli, "_rand_matrix", spy)
-    monkeypatch.setattr(minors, fault, planted)
+    monkeypatch.setattr(minors, target, planted)
     report = cmd_verify(shapes=[(2, 2), (1, 3)], samples=4, seed=5)
 
     def strs(F):
         return [[str(x) for x in row] for row in F]
 
     # each sample draws F, then M and N
-    name = PLANTED[fault]
     if fault == "cauchy_binet_check":
         want = [{"M": strs(M), "N": strs(N)} for M, N in zip(draws[1::3], draws[2::3])]
     else:
         want = [strs(F) for F in draws[0::3]]
     assert report.passes[name] == {"pass": 0, "fail": 8}
+    assert all(v == {"pass": 8, "fail": 0} for k, v in report.passes.items() if k != name)
     assert [f["input"] for f in report.failures] == want
 
 
@@ -202,34 +211,53 @@ def test_a_flipped_sign_in_a_minor_sum_table_fails_its_identity(monkeypatch, tab
     assert all(v["fail"] == 0 for k, v in report.passes.items() if k != identity)
 
 
-def test_verify_calls_laplace_mixed_once_per_pair(monkeypatch):
-    # one k x n matrix per index pair and sample, not one call per entry (q, j)
-    calls = []
-    real = minors.laplace_mixed
+def test_verify_calls_each_minors_function_once_per_sample(monkeypatch):
+    # all minors, the Gram side (xi, Z, xi'), every Laplace pair and every Cauchy-Binet pair:
+    # one call each per sample and shape, never one per index pair or per k
+    calls = {name: [] for name in ("all_minors", "xi_prime", "laplace_mixed", "cauchy_binet_check")}
 
-    def spy(F, A, I):
-        calls.append((len(F), len(F[0]), A, I))
-        return real(F, A, I)
+    def spy(name, real):
+        def wrapped(first, *rest):
+            # the shape (m, n) of the sample: F, or M (m x l) with N (l x n)
+            calls[name].append((len(first), len(rest[0][0]) if name == "cauchy_binet_check" else len(first[0])))
+            return real(first, *rest)
 
-    monkeypatch.setattr(minors, "laplace_mixed", spy)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(minors, name, spy(name, getattr(minors, name)))
     samples = 3
     report = cmd_verify(cli.DEFAULT_VERIFY_SHAPES, samples=samples, seed=0)
     assert report.all_passed()
-    layouts = [minors.enumerate_layout(m, n) for m, n in cli.DEFAULT_VERIFY_SHAPES]
-    assert sum(lay.minor_count for lay in layouts) == 47
-    assert len(calls) == samples * 47
-    want = [(lay.m, lay.n, A, I) for lay in layouts for _ in range(samples) for A, I in lay._raw]
-    assert calls == want
+    want = [shape for shape in cli.DEFAULT_VERIFY_SHAPES for _ in range(samples)]
+    for name, got in calls.items():
+        assert got == want, name
+
+
+def test_verify_formats_the_drawn_matrices_only_for_a_failure(monkeypatch):
+    formatted = []
+    real = cli._strs
+
+    def spy(F):
+        formatted.append(F)
+        return real(F)
+
+    monkeypatch.setattr(cli, "_strs", spy)
+    assert cmd_verify(cli.DEFAULT_VERIFY_SHAPES, samples=3, seed=0).all_passed()
+    assert formatted == []
 
 
 def test_verify_hands_the_minors_layer_only_ints(monkeypatch):
     # every suite runs on the drawn integer matrices themselves, as the solver's calls do
-    spied = ("xi", "xi_prime", "z_matrix", "all_minors", "xi_minor_sum", "xi_prime_minor_sum", "z_minor_sum")
+    matrices = ("xi_prime", "all_minors", "laplace_mixed", "cauchy_binet_check")
+    spied = (*matrices, "xi_minor_sum", "xi_prime_minor_sum", "z_minor_sum")
     seen = {name: [] for name in spied}
 
     def spy(name, real):
         def wrapped(first, *rest):
             seen[name].append(first)
+            if name == "cauchy_binet_check":
+                seen[name].append(rest[0])  # N as well as M
             return real(first, *rest)
 
         return wrapped
@@ -238,7 +266,7 @@ def test_verify_hands_the_minors_layer_only_ints(monkeypatch):
         monkeypatch.setattr(minors, name, spy(name, getattr(minors, name)))
     report = cmd_verify(shapes=[(1, 1), (2, 2), (3, 2)], samples=3, seed=5)
     assert report.all_passed()
-    for name in ("xi", "xi_prime", "z_matrix", "all_minors"):
+    for name in matrices:
         assert seen[name] and all(type(x) is int for F in seen[name] for row in F for x in row), name
     for name in ("xi_minor_sum", "xi_prime_minor_sum", "z_minor_sum"):
         assert seen[name] and all(type(x) is int for mv in seen[name] for x in mv), name

@@ -121,16 +121,12 @@ def test_minor_examples():
 @pytest.mark.parametrize(
     "call, named",
     [
-        (lambda: laplace_mixed([[1, 2], [3, 4]], (0,), (1,)), "row set (0,)"),
-        (lambda: laplace_mixed([[1, 2], [3, 4]], (1,), (0,)), "column set (0,)"),
         (lambda: minor([[1, 2], [3, 4], [5, 6]], (3, 1), (1, 2)), "row set (3, 1)"),
         (lambda: minor([[1, 2], [3, 4], [5, 6]], (1, 1), (1, 2)), "row set (1, 1)"),
-        (lambda: cauchy_binet_check([[1, 2], [3, 4]], [[1, 0], [0, 1]], (2, 1), (1, 2)), "row set (2, 1)"),
-        (lambda: cauchy_binet_check([[1, 2]], [[3], [4]], (1,), (2,)), "column set (2,)"),
+        (lambda: cauchy_binet_check([[1, 2], [3, 4]], [[1, 0], [0, 1]], [((2, 1), (1, 2))]), "row set (2, 1)"),
+        (lambda: cauchy_binet_check([[1, 2]], [[3], [4]], [((), ()), ((1,), (2,))]), "column set (2,)"),
     ],
     ids=[
-        "laplace_row_0",
-        "laplace_column_0",
         "minor_unsorted_rows",
         "minor_repeated_row",
         "cb_unsorted_rows",
@@ -138,7 +134,7 @@ def test_minor_examples():
     ],
 )
 def test_index_sets_must_increase_strictly_within_range(call, named):
-    # all but the last used to return a number: row 0 wrapped to the last row, and only a set's ends were checked
+    # all but the last used to return a number: a repeat or a set out of order, and only a set's ends were checked
     with pytest.raises(ConfigError, match=re.escape(f"{named} must be strictly increasing within 1..")):
         call()
 
@@ -224,10 +220,12 @@ def test_large_determinants_match_the_leibniz_sum_over_any_ring():
     G = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
     R = [[RingOnly(x) for x in row] for row in G]
     assert xi(R) == xi(G)
-    for name in ("xi_prime", "z_matrix"):
-        got, want = getattr(minors, name)(R), getattr(minors, name)(G)
-        assert all(type(x) is RingOnly for row in got for x in row), name
-        assert got == want, name
+    got, want = xi_prime(R), xi_prime(G)
+    for name, i in (("z_matrix", 1), ("xi_prime", 2)):
+        assert all(type(x) is RingOnly for row in got[i] for x in row), name
+        assert got[i] == want[i], name
+    assert type(got[0]) is RingOnly and got[0] == want[0] == xi(G)
+    assert z_matrix(R) == got[1]
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +233,19 @@ def test_large_determinants_match_the_leibniz_sum_over_any_ring():
 
 
 def test_cauchy_binet_examples():
-    lhs, rhs = cauchy_binet_check([[1, 2]], [[3], [4]], (1,), (1,))
+    [(lhs, rhs)] = cauchy_binet_check([[1, 2]], [[3], [4]], [((1,), (1,))])
     assert (lhs, rhs) == (11, 11)
-    lhs, rhs = cauchy_binet_check([[1, 2]], [[3], [4]], (), ())
+    [(lhs, rhs)] = cauchy_binet_check([[1, 2]], [[3], [4]], [((), ())])
     assert (lhs, rhs) == (1, 1)
+    # one call answers its pairs in order
+    assert cauchy_binet_check([[1, 2]], [[3], [4]], [((1,), (1,)), ((), ())]) == [(11, 11), (1, 1)]
+    assert cauchy_binet_check([[1, 2]], [[3], [4]], []) == []
     with pytest.raises(ConfigError):
-        cauchy_binet_check([[1, 2]], [[3, 4]], (1,), (1,))
+        cauchy_binet_check([[1, 2]], [[3, 4]], [((1,), (1,))])
+    with pytest.raises(ConfigError, match="equal size"):
+        cauchy_binet_check([[1, 2]], [[3], [4]], [((1,), ())])
+    with pytest.raises(ConfigError, match="exceeds inner dimension 1"):
+        cauchy_binet_check([[1], [2]], [[3, 4]], [((1, 2), (1, 2))])
 
 
 def test_cauchy_binet_random_exact():
@@ -251,11 +256,16 @@ def test_cauchy_binet_random_exact():
         m, l, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         M = rand_matrix(rng, m, l)
         N = rand_matrix(rng, l, n)
-        for k in range(0, min(m, n, l) + 1):
-            for I in combinations(range(1, m + 1), k):
-                for J in combinations(range(1, n + 1), k):
-                    lhs, rhs = cauchy_binet_check(M, N, I, J)
-                    assert lhs == rhs
+        pairs = [
+            (I, J)
+            for k in range(0, min(m, n, l) + 1)
+            for I in combinations(range(1, m + 1), k)
+            for J in combinations(range(1, n + 1), k)
+        ]
+        got = cauchy_binet_check(M, N, pairs)
+        assert len(got) == len(pairs)
+        for lhs, rhs in got:
+            assert lhs == rhs
 
 
 def test_cauchy_binet_product_determinant_oracle():
@@ -264,7 +274,7 @@ def test_cauchy_binet_product_determinant_oracle():
     for _ in range(40):
         M = rand_matrix(rng, 3, 2)
         N = rand_matrix(rng, 2, 3)
-        lhs, rhs = cauchy_binet_check(M, N, (1, 2), (2, 3))
+        [(lhs, rhs)] = cauchy_binet_check(M, N, [((1, 2), (2, 3))])
         prod = [[sum(M[a][t] * N[t][b] for t in range(2)) for b in range(3)] for a in range(3)]
         assert lhs == rhs == minor(prod, (1, 2), (2, 3))
 
@@ -283,8 +293,10 @@ def test_xi_examples():
 
 
 def test_xi_prime_examples():
-    assert xi_prime([[Fr(5, 3)]]) == [[Fr(5, 3)]]
-    assert xi_prime([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    # (xi, Z, xi') of one I + FᵀF
+    assert xi_prime([[Fr(5, 3)]]) == (1 + Fr(25, 9), [[1]], [[Fr(5, 3)]])
+    assert xi_prime([[0, 0], [0, 0]]) == (1, [[1, 0], [0, 1]], [[0, 0], [0, 0]])
+    assert xi_prime([[1, 2], [3, 4]]) == (35, [[21, -14], [-14, 11]], [[-7, 8], [7, 2]])
 
 
 def test_z_examples():
@@ -294,22 +306,28 @@ def test_z_examples():
 
 def test_laplace_mixed_examples():
     F = [[Fr(2), Fr(5)], [Fr(-1), Fr(3)]]
+    lay = enumerate_layout(2, 2)
+    L = laplace_mixed(F, lay)
+    # one k x n matrix per pair, in layout order
+    assert [(len(x), len(x[0])) for x in L] == [(len(A), 2) for A, _ in lay._raw]
     # k = 1: the sum collapses to (-1)^{1+1} [F]_{(),()} F_{alpha j} = F_{alpha j},
     # matching the replaced-column side of the identity
-    assert laplace_mixed(F, (1,), (2,)) == [F[0]]
-    assert laplace_mixed(F, (1,), (2,))[0][0] == minor(F, (1,), (1,))
+    assert L[lay.slot((1,), (2,))] == [F[0]]
+    assert L[lay.slot((1,), (2,))][0][0] == minor(F, (1,), (1,))
     # k = 2 on a square F: adj(F) F = det(F) I
-    assert laplace_mixed(F, (1, 2), (1, 2)) == [[11, 0], [0, 11]]
+    assert L[lay.slot((1, 2), (1, 2))] == [[11, 0], [0, 11]]
     # j in I \\ {i_q} gives 0
     rng = random.Random(2)
+    lay3 = enumerate_layout(3, 3)
     for _ in range(40):
-        G = rand_matrix(rng, 3, 3)
-        assert laplace_mixed(G, (1, 2), (1, 3))[1][0] == 0
-        assert laplace_mixed(G, (1, 3), (2, 3))[0][2] == 0
-    with pytest.raises(ConfigError):
-        laplace_mixed(F, (), ())
-    with pytest.raises(ConfigError):
-        laplace_mixed(F, (1, 2), (1,))
+        L = laplace_mixed(rand_matrix(rng, 3, 3), lay3)
+        assert L[lay3.slot((1, 2), (1, 3))][1][0] == 0
+        assert L[lay3.slot((1, 3), (2, 3))][0][2] == 0
+    # the pairs come from the layout, so F is checked against it once
+    with pytest.raises(ConfigError, match="matrix is 2x2 but layout is 2x3"):
+        laplace_mixed(F, enumerate_layout(2, 3))
+    with pytest.raises(ConfigError, match="ragged"):
+        laplace_mixed([[1, 2], [3]], lay)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -320,11 +338,13 @@ def test_identities_exact_random(shape):
     for _ in range(30):
         F = rand_matrix(rng, m, n)
         mv = all_minors(F, lay)
-        assert xi(F) == xi_minor_sum(mv, lay)
-        assert xi_prime(F) == xi_prime_minor_sum(mv, lay)
-        assert z_matrix(F) == z_minor_sum(mv, lay)
-        for A, I in lay._raw:
-            L = laplace_mixed(F, A, I)
+        x, Z, xp = xi_prime(F)
+        assert x == xi(F) == xi_minor_sum(mv, lay)
+        assert xp == xi_prime_minor_sum(mv, lay)
+        assert Z == z_matrix(F) == z_minor_sum(mv, lay)
+        Ls = laplace_mixed(F, lay)
+        assert len(Ls) == lay.minor_count
+        for (A, I), L in zip(lay._raw, Ls):
             assert len(L) == len(A) and all(len(row) == n for row in L)
             for q in range(1, len(A) + 1):
                 for j in range(1, n + 1):
@@ -357,14 +377,16 @@ def test_laplace_mixed_is_its_defining_sum_and_checks_the_adjugate_signs(monkeyp
             lay = enumerate_layout(m, n)
             for _ in range(5):
                 F = [[rng.randint(-15, 15) for _ in range(n)] for _ in range(m)]
-                for A, I in lay._raw:
+                for (A, I), got in zip(lay._raw, laplace_mixed(F, lay), strict=True):
                     want = [
                         [_laplace_by_definition(F, A, I, q, j) for j in range(1, n + 1)]
                         for q in range(1, len(A) + 1)
                     ]
-                    assert laplace_mixed(F, A, I) == want, (F, A, I)
-    # the Laplace suite reads its cofactors from the adjugate the solver uses, so one
-    # flipped off-diagonal sign there fails it wherever a pair has k >= 2
+                    assert got == want, (F, A, I)
+    # the Laplace suite reads its cofactors from the adjugate the solver uses, and Z and xi'
+    # are that adjugate of I + FᵀF, so one flipped off-diagonal sign there fails all three
+    # wherever a pair has k >= 2 and n >= 2; xi is the determinant of the same I + FᵀF, and
+    # neither it nor Cauchy-Binet reads the adjugate
     real = minors._adjugate
 
     def flipped(rows):
@@ -375,8 +397,10 @@ def test_laplace_mixed_is_its_defining_sum_and_checks_the_adjugate_signs(monkeyp
 
     monkeypatch.setattr(minors, "_adjugate", flipped)
     assert cmd_verify(shapes=[(3, 1)], samples=4, seed=5).all_passed()  # k = 1 only
-    report = cmd_verify(shapes=[(2, 2), (3, 3)], samples=4, seed=5)
-    assert report.passes["laplace_mixed"]["fail"] == 8
+    for shape in ((2, 2), (3, 3)):
+        report = cmd_verify(shapes=[shape], samples=4, seed=5)
+        fails = {name: v["fail"] for name, v in report.passes.items()}
+        assert fails == {"xi": 0, "cauchy_binet": 0, "z_matrix": 4, "xi_prime": 4, "laplace_mixed": 4}, shape
 
 
 def test_z_is_symmetric_positive_definite():
@@ -393,20 +417,41 @@ def test_z_is_symmetric_positive_definite():
 # the determinant side on array entries, as the oracle and the MCF metric run it
 
 
+def _leibniz_adjugate(G):
+    """adj(G)[i][j] = (-1)^{i+j} det(G without row j and column i), each det a Leibniz sum."""
+    k = len(G)
+    return [
+        [
+            minors._sign(i + j) * _leibniz([[G[p][q] for q in range(k) if q != i] for p in range(k) if p != j])
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+
+
 @pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(m, n) for m in (1, 2) for n in (4, 5)])
 def test_determinant_side_on_grid_arrays_matches_each_point_exactly(shape):
-    # small integer values keep every float product and sum exact, so the
-    # whole-grid evaluation must equal the per-point Fraction one bit for bit
+    # small integer values keep every float product and sum exact, so the whole-grid
+    # evaluation must equal, bit for bit, an integer oracle per point that shares no
+    # code with minors: I + FᵀF summed directly, and Leibniz sums for its det and adjugate
     m, n = shape
     F = np.random.default_rng(10 * m + n).integers(-3, 4, (m, n, 4, 3)).astype(float)
-    got = {"xi": xi(F), "xi_prime": xi_prime(F), "z_matrix": z_matrix(F)}
+    got_xi, got_z, got_xp = xi_prime(F)
+    assert np.array_equal(xi(F), got_xi) and np.array_equal(z_matrix(F), got_z)
     for p in np.ndindex(*F.shape[2:]):
-        Fp = [[Fr(int(F[(a, i) + p])) for i in range(n)] for a in range(m)]
-        assert got["xi"][p] == xi(Fp)
-        for name, rows in (("xi_prime", xi_prime(Fp)), ("z_matrix", z_matrix(Fp))):
-            for a, row in enumerate(rows):
-                for i, want in enumerate(row):
-                    assert got[name][a][i][p] == want, (name, a, i, p)
+        Fp = [[int(F[(a, i) + p]) for i in range(n)] for a in range(m)]
+        gram = [[int(i == j) + sum(Fp[a][i] * Fp[a][j] for a in range(m)) for j in range(n)] for i in range(n)]
+        Z = _leibniz_adjugate(gram)
+        want = {
+            "xi": _leibniz(gram),
+            "z_matrix": Z,
+            "xi_prime": [[sum(Fp[a][j] * Z[j][i] for j in range(n)) for i in range(n)] for a in range(m)],
+        }
+        assert got_xi[p] == want["xi"], p
+        for name, got in (("xi_prime", got_xp), ("z_matrix", got_z)):
+            for a, row in enumerate(want[name]):
+                for i, w in enumerate(row):
+                    assert got[a][i][p] == w, (name, a, i, p)
     # on the solver path the bytes of xi, xi_prime and z_matrix must be those of
     # I_n + FᵀF formed with a literal 1, summed in the same order
     F = np.random.default_rng(10 * m + n).uniform(-3, 3, (m, n, 4, 3))
@@ -424,5 +469,6 @@ def test_determinant_side_on_grid_arrays_matches_each_point_exactly(shape):
         "xi_prime": [[sum(rows[a][j] * adj[j][i] for j in range(n)) for i in range(n)] for a in range(m)],
         "z_matrix": adj,
     }
-    for name, f in (("xi", xi), ("xi_prime", xi_prime), ("z_matrix", z_matrix)):
-        assert np.asarray(f(F)).tobytes() == np.asarray(want[name]).tobytes(), name
+    got = dict(zip(("xi", "z_matrix", "xi_prime"), xi_prime(F)))
+    for name in ("xi", "xi_prime", "z_matrix"):
+        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name

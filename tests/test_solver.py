@@ -165,6 +165,29 @@ def test_rhs_original_scalar_string_form():
     assert np.max(np.abs(dD[0] - wantD)) < 1e-15
 
 
+def test_rhs_original_takes_xi_and_xi_prime_from_one_gram_side_call(monkeypatch):
+    # the oracle calls exactly what verify checks: one xi_prime, whose (xi, Z, xi') share one I + FᵀF
+    g = Grid((16, 12), (TWO_PI, 5.0))
+    F = np.random.default_rng(4).uniform(-0.3, 0.3, (2, 2, 16, 12))
+    D = np.random.default_rng(5).uniform(-0.2, 0.2, (2, 16, 12))
+    want = rhs_original(F, D, g)
+    calls = []
+    real = solver.xi_prime
+
+    def spy(F):
+        calls.append(F)
+        return real(F)
+
+    def refuse(F):
+        raise AssertionError("a second I + FᵀF on the oracle path")
+
+    monkeypatch.setattr(solver, "xi_prime", spy)
+    monkeypatch.setattr(solver, "xi", refuse)
+    got = rhs_original(F, D, g)
+    assert len(calls) == 1 and calls[0] is F
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # time stepping
 
