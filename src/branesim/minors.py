@@ -167,11 +167,26 @@ def _det(rows) -> object:
 
 
 def _adjugate(rows) -> list[list]:
-    k, k2 = _dims(rows)
-    if k != k2:
-        raise ConfigError("adjugate needs a square matrix")
+    """adj(R) of a square R built by the caller, so that adj(R) · R = det(R) · I.
+
+    adj(R)[j][i] = (-1)^(i+j) det(R without row i and column j).  The 2x2 and 3x3
+    forms are that cofactor loop written out, entry for entry with the same float
+    operations: an entry with odd i + j is -(the same 2x2 determinant), not the
+    swapped difference, so float grids, signed zeros included, keep their bits.
+    """
+    k = len(rows)
     if k == 1:
         return [[rows[0][0] ** 0]]
+    if k == 2:
+        (a, b), (c, d) = rows
+        return [[d, -b], [-c, a]]
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return [
+            [e * i - f * h, -(b * i - c * h), b * f - c * e],
+            [-(d * i - f * g), a * i - c * g, -(a * f - c * d)],
+            [d * h - e * g, -(a * h - b * g), a * e - b * d],
+        ]
     adj = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
@@ -367,9 +382,11 @@ def laplace_mixed(F, layout: MinorLayout) -> list:
     signed sub-minors are the cofactors of F[A, I], so L = adj(F[A, I]) F[A, :].
     """
     rows = _layout_rows(F, layout)
+    cols = {}  # the columns of F[A, :], gathered once per row set A
     out = []
     for A, I in layout._raw:
         adj = _adjugate(_submatrix(rows, A, I))
-        cols = list(zip(*(rows[p - 1] for p in A)))  # the columns of F[A, :]
-        out.append([[sum(map(mul, adj_row, col)) for col in cols] for adj_row in adj])
+        if A not in cols:
+            cols[A] = list(zip(*(rows[p - 1] for p in A)))
+        out.append([[sum(map(mul, adj_row, col)) for col in cols[A]] for adj_row in adj])
     return out

@@ -175,9 +175,9 @@ def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
     dF, dD = (np.empty_like(F), np.empty_like(D)) if out is None else out
     dD.fill(0.0)
     for alpha in range(m):
-        base = D[alpha] + np.einsum("j...,j...->...", F[alpha], P)
+        base_h = (D[alpha] + np.einsum("j...,j...->...", F[alpha], P)) / h
         for i in range(n):
-            np.negative(derivative(base / h, grid, i, out=dF[alpha, i]), out=dF[alpha, i])
+            np.negative(derivative(base_h, grid, i, out=dF[alpha, i]), out=dF[alpha, i])
             dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha][i]) / h, grid, i)
     return dF, dD
 

@@ -136,6 +136,14 @@ def test_verify_report_bytes_are_pinned():
     assert hashlib.sha256(doc.encode()).hexdigest() == "13efdac10f966740feeca9a89e0b0651bbeff3c10aaf725e1770d36ab626f319"
 
 
+def test_verify_report_bytes_past_3x3_are_pinned(capsys):
+    # the 4x4, 3x5 and 1x6 samples take the adjugate and determinant of 4x4 to 6x6 Gram
+    # matrices, so this pins the cofactor loop that runs past the written-out 2x2 and 3x3 forms
+    assert main(["--seed", "3", "verify", "--shapes", "4x4,5x3,3x5,1x6", "--samples", "4"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "225fdae8b1aa49f040f1321a4a0641512c126a7aebe80d48f87b3c4a3db3ab9d"
+
+
 # per planted fault, the minors function it is planted in and the identity it breaks; xi, Z and
 # xi' are the three parts of one xi_prime call, so their faults go into that call's output
 PLANTED = {

@@ -1,5 +1,7 @@
+import inspect
 import random
 import re
+import textwrap
 from fractions import Fraction as Fr
 from itertools import permutations
 from math import comb
@@ -403,6 +405,22 @@ def test_laplace_mixed_is_its_defining_sum_and_checks_the_adjugate_signs(monkeyp
         assert fails == {"xi": 0, "cauchy_binet": 0, "z_matrix": 4, "xi_prime": 4, "laplace_mixed": 4}, shape
 
 
+def test_a_flipped_sign_in_the_written_out_3x3_adjugate_fails_the_adjugate_suites(monkeypatch):
+    from branesim.cli import cmd_verify
+
+    # the fault sits in the source of the 3x3 form itself: its entry (0, 1) loses the minus
+    # of an odd i + j, which only the 3x3 Gram matrices and 3x3 Laplace pairs reach
+    src = textwrap.dedent(inspect.getsource(minors._adjugate))
+    assert src.count("-(b * i - c * h)") == 1
+    namespace = dict(vars(minors))
+    exec(compile(src.replace("-(b * i - c * h)", "(b * i - c * h)"), minors.__file__, "exec"), namespace)
+    monkeypatch.setattr(minors, "_adjugate", namespace["_adjugate"])
+    assert cmd_verify(shapes=[(3, 1), (2, 2), (3, 2)], samples=4, seed=5).all_passed()
+    report = cmd_verify(shapes=[(3, 3)], samples=4, seed=5)
+    fails = {name: v["fail"] for name, v in report.passes.items()}
+    assert fails == {"xi": 0, "cauchy_binet": 0, "z_matrix": 4, "xi_prime": 4, "laplace_mixed": 4}
+
+
 def test_z_is_symmetric_positive_definite():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -427,6 +445,52 @@ def _leibniz_adjugate(G):
         ]
         for i in range(k)
     ]
+
+
+def test_adjugate_is_the_cofactor_matrix_at_every_size_over_any_ring():
+    # k = 1, the written-out 2x2 and 3x3 forms, and the cofactor loop past them
+    rng = random.Random(11)
+    for k in range(1, 6):
+        for _ in range(4):
+            G = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+            want = _leibniz_adjugate(G)
+            assert minors._adjugate(G) == want, G
+            got = minors._adjugate([[RingOnly(x) for x in row] for row in G])
+            assert all(type(x) is RingOnly for row in got for x in row), k
+            assert got == want, G
+
+
+def _cofactor_loop_adjugate(rows):
+    """The cofactor loop that minors._adjugate runs past 3x3, here at every k >= 2."""
+    k = len(rows)
+    adj = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            sub = [[rows[p][q] for q in range(k) if q != j] for p in range(k) if p != i]
+            d = minors._det(sub)
+            adj[j][i] = -d if (i + j) % 2 else d
+    return adj
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_written_out_adjugates_keep_the_bits_of_the_cofactor_loop(k):
+    # float grids as mcf passes them, a (k, k, N) array, and as a list of lists of grid rows
+    R = np.random.default_rng(k).uniform(-2, 2, (k, k, 6))
+    # plant zero cofactors: at point 0 every 2x2 determinant is 1 - 1 = +0.0, so an odd
+    # entry must be -(+0.0) = -0.0, where the swapped difference would give +0.0; points 1
+    # and 2 hold signed zeros, which k = 2 passes through or negates
+    R[:, :, 0] = 1.0
+    R[:, :, 1] = [[(-1.0) ** (p * k + q) * 0.0 for q in range(k)] for p in range(k)]
+    R[:, :, 2] = -R[:, :, 1]
+    want = np.array(_cofactor_loop_adjugate(R))
+    if k == 3:
+        odd = np.add.outer(range(k), range(k)) % 2 == 1
+        assert np.all(want[:, :, 0] == 0.0) and np.array_equal(np.signbit(want[:, :, 0]), odd)
+    assert np.any((want == 0.0) & np.signbit(want)) and np.any((want == 0.0) & ~np.signbit(want))
+    for rows in (R, [[R[p, q] for q in range(k)] for p in range(k)]):
+        got = np.array(minors._adjugate(rows))
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [(m, n) for m in (1, 2) for n in (4, 5)])
