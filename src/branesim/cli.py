@@ -383,7 +383,7 @@ def _state_from_json(data: dict) -> tuple[PrimitiveState, list[float] | None]:
     d = _numbers(st["d"], m, "state.d")
     v = _numbers(st["v"], n, "state.v")
     mm = _numbers(st["minors"], layout.minor_count, "state.minors")
-    # the conservative variables W / tau, which the n = 1 residual differentiates
+    # a state whose conservative tuple U = W / tau overflows has no graph data (F, D) behind it
     if not all(math.isfinite(x / tau) for x in d + v + mm):
         raise ConfigError("state: too large; an entry of W / tau overflows")
     W = PrimitiveState(tau, d, v, mm, layout)

@@ -311,7 +311,7 @@ def cauchy_binet_check(M, N, pairs) -> list[tuple]:
 
 def xi(F):
     """det(I_n + F^T F), the area-element factor of the graph: the first of xi_prime(F)."""
-    return xi_prime(F)[0]
+    return _det(_gram_plus_identity(_rows(F)))
 
 
 def _squares(minors_vec):

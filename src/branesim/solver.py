@@ -486,12 +486,6 @@ def march(state, t_end: float, dt_max: float, step, *, min_steps: int = 1, after
     return state
 
 
-@dataclass
-class RunResult:
-    field: GridField
-    steps: int
-
-
 def _snapshot(fld: GridField, t: float) -> dict:
     lay = fld.layout
     return {
@@ -538,8 +532,8 @@ def run(
     snapshot_cadence: float | None = None,
     on_snapshot=lambda t, snap: None,
     on_row=lambda row: None,
-) -> RunResult:
-    """Evolve the augmented field (and optionally the oracle) to t_end.
+) -> GridField:
+    """Evolve the augmented field (and optionally the oracle) to t_end; returns the final field.
 
     ``march`` takes equal steps, bounded by the CFL bound at t = 0, that land
     exactly on t_end.  Diagnostics rows, taken at t = 0, every output cadence
@@ -602,7 +596,7 @@ def run(
             on_snapshot(t, _snapshot(fld, t))
 
     march(start, t_end, dt_max, step, after=after)
-    return RunResult(fld, steps)
+    return fld
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ numpy grids; nothing here allocates per grid point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -153,8 +152,6 @@ def lift(g: GraphData, layout: MinorLayout | None = None) -> ConservativeState:
         h2 = h2 + x * x
     for x in P:
         h2 = h2 + x * x
-    if isinstance(h2, Fraction):
-        h2 = float(h2)  # lift is the numeric path; exact checks go through lifted_residuals_scaled
     return ConservativeState(np.sqrt(h2), D, P, M, layout)
 
 

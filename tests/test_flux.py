@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -357,18 +358,44 @@ def test_char_speeds_spectrum(m):
 
 
 def test_linear_degeneracy_residuals():
+    # A_1(W) g_s = (v - s tau) g_s for g_s = e_v + s e_tau holds exactly, in floats and in integers
     lay = enumerate_layout(1, 1)
-    assert linear_degeneracy_residual(PrimitiveState(1.0, [0.0], [0.0], [0.0], lay)) < 1e-10
+    assert linear_degeneracy_residual(PrimitiveState(1.0, [0.0], [0.0], [0.0], lay)) == 0.0
     lay2 = enumerate_layout(2, 1)
     rng = np.random.default_rng(42)
     for _ in range(50):
         vec = list(rng.uniform(-1, 1, lay2.state_dim))
         vec[0] = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         W = PrimitiveState.from_vector(vec, lay2)
-        assert linear_degeneracy_residual(W) < 1e-6
-    # along the 0-th field the cancellation is analytic, not just first order
-    W = PrimitiveState(0.4, [0.3, -0.2], [0.5], [0.1, 0.6], lay2)
-    assert linear_degeneracy_residual(W) < 1e-8
+        assert linear_degeneracy_residual(W) == 0.0
+    W = PrimitiveState(1e200, [1e-200, -3e150], [2e199], [-1e-180, 7e100], lay2)
+    assert linear_degeneracy_residual(W) == 0.0
+    # v + tau overflows, and the other speed's residual of 0 must not hide the NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(linear_degeneracy_residual(PrimitiveState(1e308, [0.0], [1e308], [0.0], lay)))
+    irng = random.Random(5)
+    for m in (1, 2, 3):
+        lay = enumerate_layout(m, 1)
+        for _ in range(20):
+            W = PrimitiveState.from_vector([irng.randint(-9, 9) for _ in range(lay.state_dim)], lay)
+            assert assemble_A(1, W).dtype == object and linear_degeneracy_residual(W) == 0.0
+
+
+@pytest.mark.parametrize("fault", ["tau-v coupling", "v advection"])
+def test_linear_degeneracy_residual_sees_a_planted_fault(monkeypatch, fault):
+    # the residual reads A_1(W), so a sign flipped in the triplets behind it shows
+    real = flux._symmetric_triplets
+
+    def faulty(m, n, j):
+        v = enumerate_layout(m, n).v_slot(j)
+        targets = {(0, v, 0), (v, 0, 0)} if fault == "tau-v coupling" else {(v, v, v)}
+        return tuple((p, q, slot, -sign if (p, q, slot) in targets else sign) for p, q, slot, sign in real(m, n, j))
+
+    lay = enumerate_layout(2, 1)
+    W = PrimitiveState(0.4, [0.3, -0.2], [0.5], [0.1, 0.6], lay)
+    assert linear_degeneracy_residual(W) == 0.0
+    monkeypatch.setattr(flux, "_symmetric_triplets", faulty)
+    assert linear_degeneracy_residual(W) > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -385,10 +385,11 @@ def test_run_evaluates_the_slope_of_a_row_once(monkeypatch):
     fld, _, _ = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (2,), 0.05, 0.3)])
     monkeypatch.setattr(solver, "rhs_augmented", counted)
     rows = []
-    res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, on_row=rows.append)
-    assert len(rows) == 4 and res.steps > 4
+    run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, on_row=rows.append)
+    steps = plan_steps(0.3, cfl_dt(fld, 0.4))[0]
+    assert len(rows) == 4 and steps > 4
     # four stages a step and one evaluation a row; each row but the last is the next step's first stage
-    assert len(calls) == 4 * res.steps + 1
+    assert len(calls) == 4 * steps + 1
 
 
 def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
@@ -421,7 +422,7 @@ def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
                     mp.setattr(flux, "apply_terms", reference_apply_terms)
                 rows = []
                 res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, oracle=ora if with_oracle else None, on_row=rows.append)
-            results.append((solver.rows_to_csv(rows), res.field.values))
+            results.append((solver.rows_to_csv(rows), res.values))
         (csv, values), (want_csv, want_values) = results
         assert csv == want_csv and np.array_equal(values, want_values)
         assert (csv.split("\n")[-2].endswith(",,")) != with_oracle
@@ -596,8 +597,8 @@ def test_initial_data_and_an_oracle_run_call_no_lapack_solve_or_det(monkeypatch)
     g = Grid((16, 12), (TWO_PI, 5.0))
     fld, ora, _ = initial_fields(g, 2, [Mode(1, (1, 0), 0.1), Mode(2, (0, 1), 0.1, 0.5)], [Mode(2, (1, 1), 0.05, 0.3)])
     rows = []
-    res = run(fld, t_end=0.3, cfl=0.4, oracle=ora, on_row=rows.append)
-    assert res.steps >= 2 and rows[-1].oracle_D_err_Linf < 1e-3
+    run(fld, t_end=0.3, cfl=0.4, oracle=ora, on_row=rows.append)
+    assert plan_steps(0.3, cfl_dt(fld, 0.4))[0] >= 2 and rows[-1].oracle_D_err_Linf < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -658,15 +659,15 @@ def test_run_time_reversal_returns_to_initial():
     fld, _, _ = initial_fields(g, 1, X, V)
     W0 = fld.values.copy()
     fwd = run(fld, t_end=0.5, cfl=0.4)
-    flipped = GridField(g, fld.layout, time_flip(fwd.field.values, fld.layout))
-    back = time_flip(run(flipped, t_end=0.5, cfl=0.4).field.values, fld.layout)
+    flipped = GridField(g, fld.layout, time_flip(fwd.values, fld.layout))
+    back = time_flip(run(flipped, t_end=0.5, cfl=0.4).values, fld.layout)
     return_err = np.max(np.abs(back - W0))
 
     # forward error estimated against a doubled grid restricted to shared points
     g2 = Grid((128,), (TWO_PI,))
     fld2, _, _ = initial_fields(g2, 1, X, V)
     ref = run(fld2, t_end=0.5, cfl=0.4)
-    fwd_err = np.max(np.abs(fwd.field.values - ref.field.values[:, ::2]))
+    fwd_err = np.max(np.abs(fwd.values - ref.values[:, ::2]))
     assert return_err <= 2.0 * fwd_err
 
 
@@ -717,10 +718,10 @@ def test_turning_the_oracle_on_changes_no_byte_of_the_field():
         for o, texts, got in ((None, snaps, rows), (ora, snaps_o, rows_o))
     ]
     (csv, values), (csv_o, values_o) = (
-        ([line.split(",")[:8] for line in solver.rows_to_csv(got).splitlines()], r.field.values)
+        ([line.split(",")[:8] for line in solver.rows_to_csv(got).splitlines()], r.values)
         for got, r in zip((rows, rows_o), runs)
     )
-    assert runs[0].steps > 4 and len(csv) == 6 and len(snaps) == 3
+    assert plan_steps(1.0, cfl_dt(fld, 0.4))[0] > 4 and len(csv) == 6 and len(snaps) == 3
     assert csv == csv_o and snaps == snaps_o and values.tobytes() == values_o.tobytes()
     # the oracle columns are filled only when the oracle runs
     assert rows[-1].oracle_F_err_Linf is None and rows_o[-1].oracle_F_err_Linf < 1e-3
@@ -736,8 +737,8 @@ def test_a_snapshot_every_step_keeps_none_of_them_alive():
     def peak(steps):
         tracemalloc.start()
         try:
-            res = run(fld, t_end=steps * dt, cfl=0.4, snapshot_cadence=dt, on_snapshot=lambda t, snap: None)
-            return res.steps, tracemalloc.get_traced_memory()[1]
+            run(fld, t_end=steps * dt, cfl=0.4, snapshot_cadence=dt, on_snapshot=lambda t, snap: None)
+            return plan_steps(steps * dt, dt)[0], tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
