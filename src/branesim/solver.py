@@ -132,8 +132,13 @@ def derivative(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None
     def at(start, stop=None):
         return lead + (slice(start, stop),)
 
-    # interior points, then the two rows that wrap, all as slices so 1-d rows stay arrays
-    np.subtract(values[at(2)], values[at(None, -2)], out=out[at(1, -1)])
+    # interior points, then the two rows that wrap, all as slices so 1-d rows stay arrays; on the
+    # last axis of a 2-d grid the interior is one flat pass, whose row seams the wrap rows overwrite
+    if axis == 1 and values.flags.c_contiguous and out.flags.c_contiguous:
+        flat = values.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+    else:
+        np.subtract(values[at(2)], values[at(None, -2)], out=out[at(1, -1)])
     np.subtract(values[at(1, 2)], values[at(-1)], out=out[at(None, 1)])
     np.subtract(values[at(None, 1)], values[at(-2, -1)], out=out[at(-1)])
     out /= 2 * grid.spacing[axis]
@@ -174,11 +179,16 @@ def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
     h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi_F)
     dF, dD = (np.empty_like(F), np.empty_like(D)) if out is None else out
     dD.fill(0.0)
+    term, d_term = np.empty_like(h), np.empty_like(h)
     for alpha in range(m):
         base_h = (D[alpha] + np.einsum("j...,j...->...", F[alpha], P)) / h
         for i in range(n):
             np.negative(derivative(base_h, grid, i, out=dF[alpha, i]), out=dF[alpha, i])
-            dD[alpha] -= derivative((D[alpha] * P[i] + xp[alpha][i]) / h, grid, i)
+            # (D_alpha P_i + xi'_{alpha i}) / h, built in place, operation for operation
+            np.multiply(D[alpha], P[i], out=term)
+            term += xp[alpha][i]
+            term /= h
+            dD[alpha] -= derivative(term, grid, i, out=d_term)
     return dF, dD
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from branesim import solver
-from branesim.minors import enumerate_layout
+from branesim.minors import enumerate_layout, xi_prime
 from branesim.solver import (
     BlowUpError,
     ConfigError,
@@ -88,17 +88,42 @@ def roll_derivative(values, grid, axis, out=None):
     return out
 
 
-@pytest.mark.parametrize("shape, sizes", [((37,), (37,)), ((11, 13), (11, 13)), ((4, 11, 13), (11, 13)), ((3, 29), (29,))])
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, sizes",
+    [((37,), (37,)), ((11, 13), (11, 13)), ((4, 11, 13), (11, 13)), ((3, 29), (29,)), ((13, 8), (13, 8)), ((2, 8, 11), (8, 11))],
+)
 def test_derivative_matches_the_two_roll_stencil_bit_for_bit(shape, sizes):
     rng = np.random.default_rng(len(shape) + sum(shape))
     g = Grid(sizes, tuple(rng.uniform(0.5, 9.0, len(sizes))))
-    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
-    for axis in range(g.n):
-        want = roll_derivative(values, g, axis)
-        out = np.full(shape, np.nan)
-        assert np.array_equal(derivative(values, g, axis), want)
-        # into a caller's buffer, the wrap rows at both ends included
-        assert derivative(values, g, axis, out=out) is out and np.array_equal(out, want)
+    scaled = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    # signed zeros keep their sign; differences of +-1e300 stay finite, those of +-1.7e308 overflow to +-inf
+    extreme = rng.choice([0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308], size=shape)
+    for values in (scaled, extreme):
+        # rows padded on both sides: views into it are not contiguous, nor flat when reshaped
+        padded = np.full((*shape[:-1], shape[-1] + 3), np.nan)
+        padded[..., 1:-2] = values
+        for axis in range(g.n):
+            with np.errstate(over="ignore"):
+                want = roll_derivative(values, g, axis)
+                fresh = derivative(values, g, axis)
+                # into a caller's buffer, the wrap rows at both ends included
+                out = np.full(shape, np.nan)
+                into = derivative(values, g, axis, out=out)
+                # a non-contiguous input view, and a non-contiguous out view
+                from_view = derivative(padded[..., 1:-2], g, axis)
+                gaps = np.full(padded.shape, np.nan)
+                derivative(values, g, axis, out=gaps[..., 1:-2])
+                # a contiguous out inside a larger buffer: nothing around it is written
+                buf = np.full(values.size + 4, np.nan)
+                derivative(values, g, axis, out=buf[2:-2].reshape(shape))
+            assert same_bits(fresh, want) and into is out and same_bits(out, want)
+            assert same_bits(from_view, want)
+            assert same_bits(gaps[..., 1:-2], want) and np.all(np.isnan(gaps[..., :1])) and np.all(np.isnan(gaps[..., -2:]))
+            assert same_bits(buf[2:-2].reshape(shape), want) and np.all(np.isnan(buf[:2])) and np.all(np.isnan(buf[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +418,27 @@ def test_run_evaluates_the_slope_of_a_row_once(monkeypatch):
 
 
 def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
-    # the stencil, the term table and the RK4 sum as they were written before the buffers
+    # the stencil, the term table, the oracle's flux terms and the RK4 sum as they were written before the buffers
     from branesim import flux
 
     def reference_apply_terms(layout, W_vec, grad_vecs, out):
         for row, coeff, deriv, axis, sign in flux._direct_terms(layout.m, layout.n):
             out[row] -= sign * W_vec[coeff] * grad_vecs[axis - 1][deriv]
         return out
+
+    def reference_rhs_original(F, D, grid, out):
+        m, n = F.shape[0], F.shape[1]
+        P = np.einsum("ai...,a...->i...", F, D)
+        xi_F, _, xp = xi_prime(F)
+        h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi_F)
+        dF, dD = out
+        dD.fill(0.0)
+        for alpha in range(m):
+            base_h = (D[alpha] + np.einsum("j...,j...->...", F[alpha], P)) / h
+            for i in range(n):
+                dF[alpha, i] = -roll_derivative(base_h, grid, i)
+                dD[alpha] -= roll_derivative((D[alpha] * P[i] + xp[alpha][i]) / h, grid, i)
+        return dF, dD
 
     g = Grid((16, 12), (TWO_PI, 5.0))
     cases = [
@@ -420,6 +459,7 @@ def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
                     mp.setattr(solver, "derivative", roll_derivative)
                     mp.setattr(solver, "rk4_step", reference_rk4_step)
                     mp.setattr(flux, "apply_terms", reference_apply_terms)
+                    mp.setattr(solver, "rhs_original", reference_rhs_original)
                 rows = []
                 res = run(fld, t_end=0.3, cfl=0.4, output_cadence=0.1, oracle=ora if with_oracle else None, on_row=rows.append)
             results.append((solver.rows_to_csv(rows), res.values))
