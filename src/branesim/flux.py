@@ -21,6 +21,7 @@ They are cross-checked against each other by the test suite.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -172,6 +173,31 @@ def _symmetric_triplets(m: int, n: int, j: int) -> tuple[tuple[int, int, int, in
 # ---------------------------------------------------------------------------
 # operations
 
+CACHE_LINE = 64  # bytes; numpy itself only promises 16-byte alignment
+
+
+def aligned_empties(shape, interiors) -> list[np.ndarray]:
+    """Uninitialised C-contiguous float arrays of one shape, one per flag, from one allocation.
+
+    Each array's first element starts on a cache line, or with its flag its second
+    element does: on the last axis the stencil's interior pass starts writing there.
+    An out-of-place ufunc into an output off a cache line runs at about half speed on
+    AVX-512 hosts, whatever its inputs.  One allocation, rather than one per array,
+    keeps a call's temporaries from crossing glibc's mmap threshold one by one: each
+    would then be mapped and its pages faulted in afresh on every call.
+    """
+    size, pad = math.prod(shape), CACHE_LINE // 8
+    span = -(-size // pad) * pad + pad  # room for a size-point array starting anywhere in a line
+    buf = np.empty(len(interiors) * span + pad)
+    first = -(buf.ctypes.data // 8) % pad
+    starts = (first + k * span + (pad - 1 if interior else 0) for k, interior in enumerate(interiors))
+    return [buf[s : s + size].reshape(shape) for s in starts]
+
+
+def aligned_empty(shape, interior: bool = False) -> np.ndarray:
+    """One array of ``aligned_empties``: its first element, or with ``interior`` its second, on a cache line."""
+    return aligned_empties(shape, (interior,))[0]
+
 
 def assemble_A(j: int, W: PrimitiveState):
     """The symmetric matrix A_j(W), rows and columns in state-vector order.
@@ -197,9 +223,9 @@ def apply_terms(layout: MinorLayout, W_vec, grad_vecs, out):
 
     ``W_vec``, ``grad_vecs[j-1]`` and ``out`` are indexable by state slot, with
     array rows of one shape; ``out`` is updated in place through one scratch
-    row.  Returns ``out``.
+    row, cache-line aligned when the rows are float.  Returns ``out``.
     """
-    tmp = np.empty_like(out[0])
+    tmp = aligned_empty(out[0].shape) if out[0].dtype == float else np.empty_like(out[0])
     for row, coeff, deriv, axis, sign in _direct_terms(layout.m, layout.n):
         np.multiply(W_vec[coeff], grad_vecs[axis - 1][deriv], out=tmp)
         # out -= sign * W * g, exactly: (-W) g = -(W g) and a - (-x) = a + x

@@ -24,6 +24,7 @@ from itertools import chain, combinations, pairwise
 import numpy as np
 
 from . import flux as _flux
+from .flux import aligned_empties, aligned_empty
 from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout, xi, xi_prime
 from .minors import _adjugate, _gram_plus_identity, _rows
 from .state import (
@@ -108,9 +109,6 @@ class GridField:
         """A PrimitiveState whose components are grid arrays (shared storage)."""
         return PrimitiveState.from_vector(self.values, self.layout)
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.layout, self.values.copy())
-
 
 # ---------------------------------------------------------------------------
 # stencils
@@ -121,7 +119,11 @@ def derivative(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None
 
     Acts on the trailing grid axes, so leading component axes pass through.
     Written into ``out`` (shaped like ``values``, not sharing its memory) when
-    given, else into a new array; returns it.
+    given, else into a new array; returns it.  The differences are scaled in
+    place by the reciprocal 1 / (2 dx), a multiplication that costs a third of
+    a division and differs from it by about 1 ulp.  The interior pass writes
+    first at the second point along the axis; callers on the hot path align
+    ``out`` there (``flux.aligned_empties``).
     """
     if axis < 0 or axis >= grid.n:
         raise ConfigError(f"axis {axis} out of range for {grid.n}-d grid")
@@ -141,7 +143,7 @@ def derivative(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None
         np.subtract(values[at(2)], values[at(None, -2)], out=out[at(1, -1)])
     np.subtract(values[at(1, 2)], values[at(-1)], out=out[at(None, 1)])
     np.subtract(values[at(None, 1)], values[at(-2, -1)], out=out[at(-1)])
-    out /= 2 * grid.spacing[axis]
+    out *= 1 / (2 * grid.spacing[axis])
     return out
 
 
@@ -154,10 +156,12 @@ def rhs_augmented(fld: GridField, out: np.ndarray | None = None) -> np.ndarray:
 
     Written into ``out`` (shaped like ``fld.values``, not sharing its memory)
     when given, else into a new array; returns it.  The n gradients live in one
-    array for the call only.
+    allocation for the call only, each aligned where its stencil's interior
+    pass starts writing.
     """
-    grads = np.empty((fld.grid.n, *fld.values.shape))
-    for j in range(fld.grid.n):
+    n = fld.grid.n
+    grads = aligned_empties(fld.values.shape, [j == n - 1 for j in range(n)])
+    for j in range(n):
         derivative(fld.values, fld.grid, j, out=grads[j])
     if out is None:
         out = np.empty_like(fld.values)
@@ -174,21 +178,30 @@ def rhs_original(F: np.ndarray, D: np.ndarray, grid: Grid, out=None):
     m, n = F.shape[0], F.shape[1]
     if n != grid.n:
         raise ConfigError("F shape does not match grid dimension")
-    P = np.einsum("ai...,a...->i...", F, D)
+    sizes = F.shape[2:]
+    P = np.einsum("ai...,a...->i...", F, D, out=aligned_empty((n, *sizes)))
     xi_F, _, xp = xi_prime(F)
-    h = np.sqrt(np.sum(D * D, axis=0) + np.sum(P * P, axis=0) + xi_F)
+    # the call's rows, each stencil output per axis aligned where its interior pass starts
+    inv_h, base_h, term, *d_terms = aligned_empties(sizes, [False] * 3 + [i == n - 1 for i in range(n)])
+    # 1 / h with h = sqrt(sum D^2 + sum P^2 + xi), summed in that order; each / h below is * inv_h
+    np.sum(D * D, axis=0, out=inv_h)
+    inv_h += np.sum(P * P, axis=0)
+    inv_h += xi_F
+    np.sqrt(inv_h, out=inv_h)
+    np.divide(1.0, inv_h, out=inv_h)
     dF, dD = (np.empty_like(F), np.empty_like(D)) if out is None else out
     dD.fill(0.0)
-    term, d_term = np.empty_like(h), np.empty_like(h)
     for alpha in range(m):
-        base_h = (D[alpha] + np.einsum("j...,j...->...", F[alpha], P)) / h
+        # (D_alpha + F_alpha . P) / h and (D_alpha P_i + xi'_{alpha i}) / h as products with inv_h, built in place
+        np.einsum("j...,j...->...", F[alpha], P, out=base_h)
+        np.add(D[alpha], base_h, out=base_h)
+        base_h *= inv_h
         for i in range(n):
-            np.negative(derivative(base_h, grid, i, out=dF[alpha, i]), out=dF[alpha, i])
-            # (D_alpha P_i + xi'_{alpha i}) / h, built in place, operation for operation
+            np.negative(derivative(base_h, grid, i, out=d_terms[i]), out=dF[alpha, i])
             np.multiply(D[alpha], P[i], out=term)
             term += xp[alpha][i]
-            term /= h
-            dD[alpha] -= derivative(term, grid, i, out=d_term)
+            term *= inv_h
+            dD[alpha] -= derivative(term, grid, i, out=d_terms[i])
     return dF, dD
 
 
@@ -554,7 +567,6 @@ def run(
     live state, valid only during the call.  Snapshot times that share a
     snapshot_name raise ConfigError before the first step.
     """
-    fld = fld.copy()
     dt_max = cfl_dt(fld, cfl)
     steps, dt = plan_steps(t_end, dt_max)
     # a cadence beyond t_end means "at the end only"; capping it keeps cadence / dt finite
@@ -570,12 +582,13 @@ def run(
     # one array steps both systems: W's rows, then the oracle's packed (F, D) rows when
     # there is one.  A step writes into the spare of its buffers [acc, k, spare] and the
     # state it replaces becomes the next spare, so a failing step leaves its input intact
-    # and the RK4 sums allocate nothing
-    start = fld.values
-    if oracle is not None:
-        start = np.concatenate((start, oracle[0].reshape(-1, *fld.grid.sizes), oracle[1]))
+    # and the RK4 sums allocate nothing.  The start state and the buffers start on a cache
+    # line, so their rows do wherever a row is a whole number of cache lines
+    rows = (fld.values,) if oracle is None else (fld.values, oracle[0].reshape(-1, *fld.grid.sizes), oracle[1])
+    start = np.concatenate(rows, out=aligned_empty((sum(map(len, rows)), *fld.grid.sizes)))
+    fld = GridField(fld.grid, fld.layout, start[:dim])
     names = _component_names(fld.layout) + _oracle_names(fld.layout.m, n)
-    buffers = [np.empty_like(start) for _ in range(3)]
+    buffers = [aligned_empty(start.shape) for _ in range(3)]
     # a diagnostics row writes d_t W of the state it sees into acc's field rows, where the
     # next step's first stage takes it instead of evaluating it again; a replay of a
     # failing step runs on fresh buffers and so evaluates every stage itself

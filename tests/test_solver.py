@@ -79,9 +79,13 @@ def test_derivative_sawtooth_wraparound():
 
 
 def roll_derivative(values, grid, axis, out=None):
-    """The two-np.roll stencil that derivative replaced; the reference for its bytes."""
+    """The two-np.roll stencil that derivative replaced; the reference for its bytes.
+
+    It scales by the reciprocal 1 / (2 dx), as derivative does: a reference that divides
+    by 2 dx differs from it in the last bit.
+    """
     ax = values.ndim - grid.n + axis
-    d = (np.roll(values, -1, ax) - np.roll(values, 1, ax)) / (2 * grid.spacing[axis])
+    d = (np.roll(values, -1, ax) - np.roll(values, 1, ax)) * (1 / (2 * grid.spacing[axis]))
     if out is None:
         return d
     out[...] = d
@@ -434,10 +438,11 @@ def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
         dF, dD = out
         dD.fill(0.0)
         for alpha in range(m):
-            base_h = (D[alpha] + np.einsum("j...,j...->...", F[alpha], P)) / h
+            # each / h as * (1 / h), the one reciprocal per call that rhs_original forms
+            base_h = (D[alpha] + np.einsum("j...,j...->...", F[alpha], P)) * (1 / h)
             for i in range(n):
                 dF[alpha, i] = -roll_derivative(base_h, grid, i)
-                dD[alpha] -= roll_derivative((D[alpha] * P[i] + xp[alpha][i]) / h, grid, i)
+                dD[alpha] -= roll_derivative((D[alpha] * P[i] + xp[alpha][i]) * (1 / h), grid, i)
         return dF, dD
 
     g = Grid((16, 12), (TWO_PI, 5.0))
@@ -466,6 +471,112 @@ def test_run_diagnostics_bytes_match_the_reference_formulas(monkeypatch):
         (csv, values), (want_csv, want_values) = results
         assert csv == want_csv and np.array_equal(values, want_values)
         assert (csv.split("\n")[-2].endswith(",,")) != with_oracle
+
+
+@pytest.mark.parametrize("sizes, m", [((16, 16), 1), ((32,), 2)])
+def test_run_writes_its_stencils_and_products_on_cache_lines(monkeypatch, sizes, m):
+    # every site of a step that writes a grid row out of place starts on a 64-byte line, where
+    # numpy alone promises 16 bytes: the state and the RK4 buffers it rotates with, the first
+    # point of each stencil's interior pass and the row it differences (the oracle builds those
+    # in place), the term table's out and its product row.  Diagnostics' own stencils allocate
+    # their output and are not counted.  Row lengths are whole cache lines, as on the benchmark
+    # grids
+    from branesim import flux
+
+    offsets = {"rk4": [], "stencil": [], "stencil_in": [], "out": [], "product": []}
+
+    class Spy(np.ndarray):
+        """W's rows as seen by apply_terms: each product records where its output starts."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.multiply and out is not None:
+                offsets["product"].append(out[0].ctypes.data % 64)
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, Spy) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, out=out, **kwargs)
+
+    def spied_derivative(values, grid, axis, out=None):
+        if out is not None:
+            # the interior pass starts one point in along the axis
+            offsets["stencil"].append((out.ctypes.data + out.strides[out.ndim - grid.n + axis]) % 64)
+            offsets["stencil_in"].append(values.ctypes.data % 64)
+        return real_derivative(values, grid, axis, out)
+
+    def spied_apply_terms(layout, W_vec, grad_vecs, out):
+        offsets["out"].append(out.ctypes.data % 64)
+        return real_apply_terms(layout, W_vec.view(Spy), grad_vecs, out)
+
+    def spied_rk4_step(y, dt, rhs, out, work, names):
+        # the start state is y of the first step and the stage buffer of the second
+        offsets["rk4"].extend(a.ctypes.data % 64 for a in (y, out, *work))
+        return real_rk4_step(y, dt, rhs, out, work, names)
+
+    real_derivative, real_apply_terms, real_rk4_step = solver.derivative, flux.apply_terms, solver.rk4_step
+    monkeypatch.setattr(solver, "derivative", spied_derivative)
+    monkeypatch.setattr(flux, "apply_terms", spied_apply_terms)
+    monkeypatch.setattr(solver, "rk4_step", spied_rk4_step)
+    g = Grid(sizes, (TWO_PI,) * len(sizes))
+    X = [Mode(a, (1,) * len(sizes), 0.1, 0.3 * a) for a in range(1, m + 1)]
+    fld, ora, _ = initial_fields(g, m, X, [Mode(1, (2,) * len(sizes), 0.05, 0.3)])
+    run(fld, t_end=0.2, cfl=0.4, oracle=ora)
+    steps = plan_steps(0.2, cfl_dt(fld, 0.4))[0]
+    # a term table with its n gradients per stage and per row (the two rows stand in for two first
+    # stages), and 2 m n oracle stencils per stage
+    n, tables = len(sizes), 4 * steps + 1
+    assert steps >= 2 and len(offsets["rk4"]) == 4 * steps
+    assert len(offsets["out"]) == tables and len(offsets["product"]) == tables * len(flux._direct_terms(m, n))
+    assert len(offsets["stencil"]) == tables * n + 4 * steps * 2 * m * n
+    assert {site: set(found) for site, found in offsets.items()} == {site: {0} for site in offsets}
+
+
+def placed(a, offset):
+    """A copy of a that starts offset bytes past a cache line, inside a buffer padded with NaN."""
+    buf = np.full(a.size + 16, np.nan)
+    start = (-(buf.ctypes.data // 8) % 8) + offset // 8
+    view = buf[start : start + a.size].reshape(a.shape)
+    view[...] = a
+    assert view.ctypes.data % 64 == offset
+    return view
+
+
+def test_no_byte_of_the_stencil_rhs_or_rk4_depends_on_where_its_arrays_start():
+    # inputs and outputs at 0, 8, 16 and 48 bytes past a cache line give the same bytes,
+    # signed zeros included: alignment picks a ufunc's loop, never its arithmetic
+    rng = np.random.default_rng(28)
+
+    def with_signed_zeros(a):
+        return np.where(rng.random(a.shape) < 0.2, rng.choice([0.0, -0.0], a.shape), a)
+
+    g2, g1 = Grid((16, 16), (TWO_PI, 5.0)), Grid((24,), (3.0,))
+    lay = enumerate_layout(2, 2)
+    values = with_signed_zeros(rng.uniform(-0.4, 0.4, (lay.state_dim, 16, 16)))
+    values[0] = rng.uniform(0.6, 1.2, (16, 16))
+    F = with_signed_zeros(rng.uniform(-0.3, 0.3, (2, 2, 16, 16)))
+    D = with_signed_zeros(rng.uniform(-0.2, 0.2, (2, 16, 16)))
+    row1 = with_signed_zeros(rng.normal(size=(3, 24)))
+
+    def outputs(offset):
+        def at(a):
+            return placed(a, offset)
+
+        def nan_like(a):
+            return at(np.full_like(a, np.nan))
+
+        def rhs(y, out):
+            return rhs_augmented(GridField(g2, lay, y), out)
+
+        grids = ((values, g2), (row1, g1))
+        got = [derivative(at(v), g, axis, out=nan_like(v)) for v, g in grids for axis in range(g.n)]
+        got.append(rhs(at(values), nan_like(values)))
+        got.extend(rhs_original(at(F), at(D), g2, (nan_like(F), nan_like(D))))
+        work = (nan_like(values), nan_like(values))
+        got.append(rk4_step(at(values), 0.01, rhs, out=nan_like(values), work=work))
+        # a signed zero that the output keeps shows in its bytes
+        assert any(np.any((x == 0) & np.signbit(x)) for x in got)
+        return [x.tobytes() for x in got]
+
+    want = outputs(0)
+    for offset in (8, 16, 48):
+        assert outputs(offset) == want
 
 
 # ---------------------------------------------------------------------------
