@@ -130,7 +130,7 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
         raise ConfigError(f"config.grid.lengths: expected {n} entries")
     sizes = tuple(_integer(s, "config.grid.sizes", 8) for s in sizes)
     lengths = tuple(_positive(x, "config.grid.lengths") for x in lengths)
-    with _naming("config.grid.sizes"):  # the lengths are checked, so only the point budget remains
+    with _naming("config.grid.sizes"):  # the lengths are checked, so the point budget and the spacing remain
         grid = Grid(sizes, lengths)
     scheme = data.get("scheme", {})
     _require_keys(scheme, {"stencil_order": False, "cfl": False, **scheme_keys}, "config.scheme")

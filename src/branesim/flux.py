@@ -194,9 +194,9 @@ def aligned_empties(shape, interiors) -> list[np.ndarray]:
     return [buf[s : s + size].reshape(shape) for s in starts]
 
 
-def aligned_empty(shape, interior: bool = False) -> np.ndarray:
-    """One array of ``aligned_empties``: its first element, or with ``interior`` its second, on a cache line."""
-    return aligned_empties(shape, (interior,))[0]
+def aligned_empty(shape) -> np.ndarray:
+    """One array of ``aligned_empties`` whose first element starts on a cache line."""
+    return aligned_empties(shape, (False,))[0]
 
 
 def assemble_A(j: int, W: PrimitiveState):

@@ -70,6 +70,9 @@ class Grid:
             raise ConfigError(f"a grid of {math.prod(self.sizes)} points exceeds the budget of {MAX_POINTS}")
         if any(not math.isfinite(x) or x <= 0 for x in self.lengths):
             raise ConfigError("domain lengths must be positive and finite")
+        # derivative scales by 1 / (2 dx), which a spacing near the subnormal range overflows
+        if any(d == 0 or not math.isfinite(1 / (2 * d)) for d in self.spacing):
+            raise ConfigError("grid spacing lengths / sizes too small: 1 / (2 dx) overflows")
 
     @property
     def n(self) -> int:

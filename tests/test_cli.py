@@ -869,6 +869,8 @@ WAVE = "config.initial_data: wave vector of component 1 too large"
         pytest.param(*SIM, X0 + ("amplitude",), 1e300, GRADIENTS, id="x-amplitude-1e300"),
         pytest.param(*SIM, X0 + ("amplitude",), 1e160, GRADIENTS, id="x-amplitude-1e160"),
         pytest.param(*SIM, ("grid", "lengths"), [1e-300], GRADIENTS, id="length-1e-300"),
+        # a spacing whose stencil scale 1 / (2 dx) overflows
+        pytest.param(*SIM, ("grid", "lengths"), [1e-310], "config.grid.sizes: grid spacing", id="length-1e-310"),
         # finite, but tau = 1/h = 1e-100 used to exit 3 at the t = 0 row
         pytest.param(*SIM, X0 + ("amplitude",), 1e100, "config.initial_data: initial data too large", id="x-amp-1e100"),
         # it used to blame config.dt_values, config.scheme.cfl

@@ -54,6 +54,11 @@ def test_grid_validation():
         Grid((16, 16, 16), (1.0, 1.0, 1.0))
     with pytest.raises(ConfigError):
         Grid((16,), (-1.0,))
+    # a positive finite length whose 1 / (2 dx) overflows, or whose dx underflows to 0
+    for length in (1e-310, 5e-324):
+        with pytest.raises(ConfigError, match="grid spacing lengths / sizes too small"):
+            Grid((8,), (length,))
+    assert np.isfinite(derivative(np.zeros(8), Grid((8,), (1e-300,)), 0)).all()
 
 
 def test_derivative_constant_is_zero():
