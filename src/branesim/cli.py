@@ -412,7 +412,8 @@ def cmd_characteristics(path: str) -> int:
         nu = nu / np.linalg.norm(nu)
         spectrum = flux.wave_speeds(W, nu)
         res = flux.linear_degeneracy_residual(W) if lay.n == 1 else 0.0
-        c, sigma = flux.char_speeds(scaled, nu)
+        c, s2 = flux.char_speeds(scaled, nu)
+        sigma = np.sqrt(s2)
         speeds = np.ldexp([c + sigma, c - sigma, c], k)
     if not np.all(np.isfinite([*spectrum, *speeds, res])):
         raise ConfigError("state: too large; its speeds, spectrum or linear-degeneracy residual are not finite")

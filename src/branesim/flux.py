@@ -370,14 +370,15 @@ def entropy_flux(U: ConservativeState, j: int):
 
 
 def char_speeds(W: PrimitiveState, nu):
-    """(c, sigma): the spectrum of A_nu = sum_j nu_j A_j(W) is {c, c +/- sigma}, for n <= 2.
+    """(c, sigma^2): the spectrum of A_nu = sum_j nu_j A_j(W) is {c, c +/- sigma}, for n <= 2.
 
     c = nu . v and sigma^2 = |nu|^2 tau^2 + sum_alpha (m_{alpha,1} nu_2 - m_{alpha,2} nu_1)^2,
     the sum empty for n = 1: B = A_nu - c I satisfies B (B^2 - sigma^2 I) = 0 for every W, on
     the constraint manifold or off it.  c +/- sigma each have multiplicity m + 1 and c has the
     remaining dim - 2(m + 1).  For n = 3 with m >= 2 the identity fails and the true spectral
     radius is larger, so n >= 3 is refused.  Entries may be scalars or grids; each square is
-    x * x, which overflows to inf where a Python float ** 2 would raise.
+    x * x, which overflows to inf where a Python float ** 2 would raise.  sigma^2 is returned
+    without its square root, so it is a polynomial in W and nu; the callers take the root.
     """
     lay = W.layout
     if lay.n > 2:
@@ -392,7 +393,7 @@ def char_speeds(W: PrimitiveState, nu):
         for a in range(1, lay.m + 1):
             x = W.m_minors[lay.slot((a,), (1,))] * nu[1] - W.m_minors[lay.slot((a,), (2,))] * nu[0]
             s2 = s2 + x * x
-    return c, np.sqrt(s2)
+    return c, s2
 
 
 def linear_degeneracy_residual(W: PrimitiveState) -> float:

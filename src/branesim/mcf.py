@@ -21,6 +21,7 @@ acceleration substeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -73,23 +74,26 @@ class EmbeddingField:
         return cls(grid, points, np.zeros((points.shape[0], grid.n)))
 
     def gradients(self) -> np.ndarray:
-        """d_i of the embedding, shape (ncomp, n, *sizes): stencil of X plus the ramp."""
+        """d_i of the embedding, shape (ncomp, n, *sizes): stencil of X plus the ramp, built in place."""
         out = np.empty((self.ncomp, self.grid.n, *self.grid.sizes))
         for j in range(self.grid.n):
-            out[:, j] = derivative(self.X, self.grid, j) + self.linear[:, j].reshape((-1,) + (1,) * self.grid.n)
+            derivative(self.X, self.grid, j, out=out[:, j])
+            out[:, j] += self.linear[:, j].reshape((-1,) + (1,) * self.grid.n)
         return out
 
 
 def induced_metric(dX: np.ndarray):
-    """(g_ij, det g, g^ij) per point of dX (ncomp, n, *sizes); BlowUpError if det g <= 0 anywhere.
+    """(g_ij, det g, g^ij) per point of dX (ncomp, n, *sizes).
 
     det g and the adjugate behind g^-1 = adj g / det g come from ``minors``, whose
-    determinant side ``verify`` checks exactly.
+    determinant side ``verify`` checks exactly.  BlowUpError, naming the grid index,
+    where det g is not positive: at its smallest value, or at its first NaN.
     """
     g = np.einsum("ci...,cj...->ij...", dX, dX)
     detg = _det(g)
-    if np.min(detg) <= 0.0:
-        raise BlowUpError(float("nan"), f"min det g = {np.min(detg):.6g}")
+    if not np.min(detg) > 0.0:  # a NaN fails too
+        worst = np.unravel_index(np.argmin(detg), detg.shape)  # the smallest value, or the first NaN
+        raise BlowUpError(float("nan"), f"min det g = {detg[worst]:.6g} at grid index {[int(i) for i in worst]}")
     return g, detg, np.array(_adjugate(g)) / detg
 
 
@@ -122,6 +126,27 @@ def tangency_residual(E: EmbeddingField) -> float:
     return worst
 
 
+@lru_cache(maxsize=8)
+def _spectral_plan(grid: Grid):
+    """mcf_step's per-grid plan (symbol, forward, inverse), built on first use.
+
+    symbol is the Fourier symbol -sum_j (sin(k_j dx_j) / dx_j)^2 of L on rfftn's half
+    spectrum, read-only since every step shares it.  forward and inverse are rfftn and
+    irfftn (to the grid's sizes) over the grid axes of a (ncomp, *sizes) array; on a 1-d
+    grid they are rfft and irfft, which is what rfftn and irfftn do on one axis, without
+    their per-call argument handling.
+    """
+    symbol = 0.0
+    for j, (size, dx) in enumerate(zip(grid.sizes, grid.spacing)):
+        freq = np.fft.rfftfreq(size) if j == grid.n - 1 else np.fft.fftfreq(size)
+        symbol = np.add.outer(symbol, -((np.sin(2 * np.pi * freq) / dx) ** 2))
+    symbol.flags.writeable = False
+    if grid.n == 1:
+        return symbol, partial(np.fft.rfft, axis=1), partial(np.fft.irfft, n=grid.sizes[0], axis=1)
+    axes = tuple(range(1, 1 + grid.n))
+    return symbol, partial(np.fft.rfftn, axes=axes), partial(np.fft.irfftn, s=grid.sizes, axes=axes)
+
+
 def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
     """One stabilised IMEX midpoint step of X' = V(X), second order in dtheta.
 
@@ -134,26 +159,24 @@ def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
 
     which is explicit midpoint plus an O(dtheta^3) stabilisation that damps
     every mode the stencil sees (Chen & Shen, Comput. Phys. Commun. 108, 1998).
-    Both solves are diagonal in rfftn over the grid axes; c and V(X) share one
-    evaluation of the gradients and the metric of X.
+    Both solves are diagonal in rfftn over the grid axes, with the grid's
+    ``_spectral_plan``; c and V(X) share one evaluation of the gradients and the
+    metric of X.  A non-finite result raises BlowUpError naming its first
+    non-finite component and grid index.
     """
     grid = E.grid
+    lap, forward, inverse = _spectral_plan(grid)
     dX = E.gradients()
     metric = induced_metric(dX)
     c = float(np.max(np.einsum("ii...->...", metric[2])))
-    lap = 0.0
-    for j, (size, dx) in enumerate(zip(grid.sizes, grid.spacing)):
-        freq = np.fft.rfftfreq(size) if j == grid.n - 1 else np.fft.fftfreq(size)
-        lap = np.add.outer(lap, -((np.sin(2 * np.pi * freq) / dx) ** 2))
     stiff = dtheta * c * lap
     solve = 1.0 / (1.0 - 0.5 * stiff)
-    axes = tuple(range(1, 1 + grid.n))
-    half = np.fft.rfftn(0.5 * dtheta * _divergence(dX, grid, metric), axes=axes) * solve
-    Y = EmbeddingField(grid, E.X + np.fft.irfftn(half, grid.sizes, axes=axes), E.linear)
-    full = (np.fft.rfftn(dtheta * mcf_velocity(Y), axes=axes) - stiff * half) * solve
-    Xn = E.X + np.fft.irfftn(full, grid.sizes, axes=axes)
+    half = forward(0.5 * dtheta * _divergence(dX, grid, metric)) * solve
+    Y = EmbeddingField(grid, E.X + inverse(half), E.linear)
+    full = (forward(dtheta * mcf_velocity(Y)) - stiff * half) * solve
+    Xn = E.X + inverse(full)
     if not np.all(np.isfinite(Xn)):
-        raise BlowUpError(float("nan"))
+        raise BlowUpError(float("nan"), _solver._nonfinite_reason(Xn, "the MCF step"))
     return EmbeddingField(grid, Xn, E.linear)
 
 

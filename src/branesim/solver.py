@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import chain, combinations, pairwise
 
 import numpy as np
@@ -52,10 +53,16 @@ MAX_POINTS = 2**20
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid in 1 or 2 spatial dimensions, of at most MAX_POINTS points."""
+    """Uniform periodic grid in 1 or 2 spatial dimensions, of at most MAX_POINTS points.
+
+    The spacing dx = length / size and the stencil scale 1 / (2 dx) of each axis are
+    formed once; grids compare and hash by sizes and lengths alone.
+    """
 
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
+    spacing: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    stencil_scale: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -70,17 +77,16 @@ class Grid:
             raise ConfigError(f"a grid of {math.prod(self.sizes)} points exceeds the budget of {MAX_POINTS}")
         if any(not math.isfinite(x) or x <= 0 for x in self.lengths):
             raise ConfigError("domain lengths must be positive and finite")
+        spacing = tuple(x / s for x, s in zip(self.lengths, self.sizes))
         # derivative scales by 1 / (2 dx), which a spacing near the subnormal range overflows
-        if any(d == 0 or not math.isfinite(1 / (2 * d)) for d in self.spacing):
+        if any(d == 0 or not math.isfinite(1 / (2 * d)) for d in spacing):
             raise ConfigError("grid spacing lengths / sizes too small: 1 / (2 dx) overflows")
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "stencil_scale", tuple(1 / (2 * d) for d in spacing))
 
     @property
     def n(self) -> int:
         return len(self.sizes)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(x / s for x, s in zip(self.lengths, self.sizes))
 
     @property
     def cell_volume(self) -> float:
@@ -117,36 +123,46 @@ class GridField:
 # stencils
 
 
+@cache
+def _stencil_slices(lead: int) -> tuple:
+    """derivative's passes along the axis after ``lead`` others: (plus, minus, out) index tuples.
+
+    The interior points, then the two rows that wrap, all as slices so 1-d rows stay arrays.
+    """
+    pre = (slice(None),) * lead
+
+    def at(start, stop=None):
+        return pre + (slice(start, stop),)
+
+    return (at(2), at(None, -2), at(1, -1)), (at(1, 2), at(-1), at(None, 1)), (at(None, 1), at(-2, -1), at(-1))
+
+
 def derivative(values: np.ndarray, grid: Grid, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Second-order central difference along spatial axis (0-based) with periodic wrap.
 
     Acts on the trailing grid axes, so leading component axes pass through.
     Written into ``out`` (shaped like ``values``, not sharing its memory) when
     given, else into a new array; returns it.  The differences are scaled in
-    place by the reciprocal 1 / (2 dx), a multiplication that costs a third of
-    a division and differs from it by about 1 ulp.  The interior pass writes
-    first at the second point along the axis; callers on the hot path align
-    ``out`` there (``flux.aligned_empties``).
+    place by the grid's reciprocal 1 / (2 dx), a multiplication that costs a
+    third of a division and differs from it by about 1 ulp.  The interior pass
+    writes first at the second point along the axis; callers on the hot path
+    align ``out`` there (``flux.aligned_empties``).
     """
     if axis < 0 or axis >= grid.n:
         raise ConfigError(f"axis {axis} out of range for {grid.n}-d grid")
     if out is None:
         out = np.empty(values.shape, np.result_type(values, 1.0))
-    lead = (slice(None),) * (values.ndim - grid.n + axis)
-
-    def at(start, stop=None):
-        return lead + (slice(start, stop),)
-
-    # interior points, then the two rows that wrap, all as slices so 1-d rows stay arrays; on the
-    # last axis of a 2-d grid the interior is one flat pass, whose row seams the wrap rows overwrite
+    interior, *wraps = _stencil_slices(values.ndim - grid.n + axis)
+    # on the last axis of a 2-d grid the interior is one flat pass, whose row seams the wrap rows overwrite
     if axis == 1 and values.flags.c_contiguous and out.flags.c_contiguous:
         flat = values.reshape(-1)
         np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
     else:
-        np.subtract(values[at(2)], values[at(None, -2)], out=out[at(1, -1)])
-    np.subtract(values[at(1, 2)], values[at(-1)], out=out[at(None, 1)])
-    np.subtract(values[at(None, 1)], values[at(-2, -1)], out=out[at(-1)])
-    out *= 1 / (2 * grid.spacing[axis])
+        plus, minus, at = interior
+        np.subtract(values[plus], values[minus], out=out[at])
+    for plus, minus, at in wraps:
+        np.subtract(values[plus], values[minus], out=out[at])
+    out *= grid.stencil_scale[axis]
     return out
 
 
@@ -242,7 +258,12 @@ def _blowup_reason(y: np.ndarray, dt: float, rhs, names) -> str:
             break
     else:
         bad = bufs[2]
-    c, *point = (int(i) for i in np.unravel_index(np.flatnonzero(~np.isfinite(bad))[0], bad.shape))
+    return _nonfinite_reason(bad, where, names)
+
+
+def _nonfinite_reason(a: np.ndarray, where: str, names=None) -> str:
+    """Names the first non-finite value of a (component, *grid) array: its component and grid index."""
+    c, *point = (int(i) for i in np.unravel_index(np.flatnonzero(~np.isfinite(a))[0], a.shape))
     return f"non-finite state in {where}: {names[c] if names else f'component {c}'} at grid index {point}"
 
 
@@ -270,15 +291,15 @@ def rk4_step(y: np.ndarray, dt: float, rhs, out=None, work=None, names=None) -> 
 def max_wave_speed(fld: GridField) -> float:
     """Largest |eigenvalue| of the flux matrices over grid points and axes: max_j |v_j| + sigma_j.
 
-    The spectrum of A_j(W) is {v_j, v_j +/- sigma_j}, from ``flux.char_speeds`` along
-    nu = e_j; it needs n <= 2, which Grid enforces.
+    The spectrum of A_j(W) is {v_j, v_j +/- sigma_j}, with v_j and sigma_j^2 from
+    ``flux.char_speeds`` along nu = e_j; it needs n <= 2, which Grid enforces.
     """
     W = fld.state_view()
     n = W.layout.n
     smax = 0.0
     for j in range(n):
-        c, sigma = _flux.char_speeds(W, [float(i == j) for i in range(n)])
-        smax = max(smax, float(np.max(np.abs(c) + sigma)))
+        c, s2 = _flux.char_speeds(W, [float(i == j) for i in range(n)])
+        smax = max(smax, float(np.max(np.abs(c) + np.sqrt(s2))))
     return smax
 
 

@@ -121,8 +121,8 @@ def test_criterion_3_n1_characteristics():
             vec = rng.uniform(-1.0, 1.0, lay.state_dim)
             vec[0] = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
             W = state.PrimitiveState.from_vector(list(vec), lay)
-            c, sigma = flux.char_speeds(W, [1.0])
-            lp, lm = c + sigma, c - sigma
+            c, s2 = flux.char_speeds(W, [1.0])
+            lp, lm = c + np.sqrt(s2), c - np.sqrt(s2)
             ev = np.sort(np.linalg.eigvalsh(np.asarray(flux.assemble_A(1, W), dtype=float)))
             want = np.sort([lm] * (m + 1) + [lp] * (m + 1))
             worst_spec = max(worst_spec, float(np.max(np.abs(ev - want))))

@@ -1164,7 +1164,7 @@ def _flat_metric():
         (lambda: _raise(minors.ConfigError("config.m: bad")), 2, "error: config.m: bad"),
         (lambda: _raise(state.BlowUpError(0.5)), 3, "error: non-finite state at t=0.5"),
         (_zero_tau, 3, "error: |tau| below 1e-12 at t=nan"),
-        (_flat_metric, 3, "error: min det g = 0 at t=nan"),
+        (_flat_metric, 3, "error: min det g = 0 at grid index [0] at t=nan"),
     ],
     ids=["config", "blowup", "tau-guard", "metric-guard"],
 )

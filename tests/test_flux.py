@@ -318,13 +318,14 @@ def test_entropy_law_pointwise(shape):
 def test_char_speeds_examples():
     lay = enumerate_layout(1, 1)
     W = PrimitiveState(0.5, [0.0], [0.2], [0.0], lay)
-    assert char_speeds(W, [1.0]) == (0.2, 0.5)
-    assert char_speeds(W, [-1.0]) == (-0.2, 0.5)
+    # (c, sigma^2), with sigma^2 = tau^2 |nu|^2 for n = 1
+    assert char_speeds(W, [1.0]) == (0.2, 0.25)
+    assert char_speeds(W, [-1.0]) == (-0.2, 0.25)
     assert char_speeds(PrimitiveState(1.0, [0.0], [0.0], [0.0], lay), [1.0]) == (0.0, 1.0)
     # n = 2: sigma^2 = tau^2 + (m_{1,1} nu_2 - m_{1,2} nu_1)^2 = 1 + (0.5 * 1 - 0 * 0)^2
     lay2 = enumerate_layout(1, 2)
     W2 = PrimitiveState(1.0, [0.3], [0.2, -0.4], [0.5, 0.0], lay2)
-    assert char_speeds(W2, [0.0, 1.0]) == (-0.4, np.sqrt(1.25))
+    assert char_speeds(W2, [0.0, 1.0]) == (-0.4, 1.25)
     with pytest.raises(ConfigError, match="length 2"):
         char_speeds(W2, [1.0])
 
@@ -351,7 +352,8 @@ def test_char_speeds_spectrum(m):
                 g = GraphData(rng.normal(size=(m, n)), rng.normal(size=m))
                 W = state.to_primitive(lift(g, lay))
             nu = rng.normal(size=n)
-            c, sigma = char_speeds(W, nu)
+            c, s2 = char_speeds(W, nu)
+            sigma = np.sqrt(s2)
             want = np.sort([c + sigma] * (m + 1) + [c - sigma] * (m + 1) + [c] * (lay.state_dim - 2 * (m + 1)))
             A = sum(nu[j - 1] * np.asarray(assemble_A(j, W), dtype=float) for j in range(1, n + 1))
             assert np.max(np.abs(np.linalg.eigvalsh(A) - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -406,7 +408,8 @@ def test_wave_speeds_reduces_to_n1():
     lay = enumerate_layout(2, 1)
     rng = np.random.default_rng(1)
     W = PrimitiveState.from_vector(list(rng.uniform(-1, 1, lay.state_dim)), lay)
-    c, sigma = char_speeds(W, [1.0])
+    c, s2 = char_speeds(W, [1.0])
+    sigma = np.sqrt(s2)
     got = wave_speeds(W, [1.0])
     assert np.max(np.abs(got - np.sort([c - sigma] * 3 + [c + sigma] * 3))) < 1e-12
 

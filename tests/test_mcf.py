@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from branesim import mcf, solver
+from branesim import cli, mcf, solver
 from branesim.mcf import (
     EmbeddingField,
     acceleration_limit_test,
@@ -74,6 +76,34 @@ def test_metric_degenerate_raises():
     E = EmbeddingField.from_closed_curve(g, np.zeros((2, 16)))
     with pytest.raises(solver.BlowUpError):
         induced_metric(E.gradients())
+
+
+def test_metric_guard_names_the_grid_index_of_its_worst_det_g(monkeypatch):
+    # a curve that stalls at one point: det g = |dX|^2 is 0 there and positive elsewhere
+    dX = circle_embedding(16, 1.0).gradients()
+    dX[:, :, 9] = 0.0
+    with pytest.raises(solver.BlowUpError) as info:
+        induced_metric(dX)
+    assert info.value.reason == "min det g = 0 at grid index [9]"
+    # a NaN det g is refused too, at its first NaN, though NaN <= 0 is False
+    smooth = graph(Grid((8, 8), (TWO_PI, TWO_PI)), 1, [Mode(1, (1, 1), 0.1, 0.0)]).gradients()
+    dX = smooth.copy()
+    dX[2, 1, 3, 5] = dX[2, 0, 6, 1] = math.nan
+    with pytest.raises(solver.BlowUpError) as info:
+        induced_metric(dX)
+    assert info.value.reason == "min det g = nan at grid index [3, 5]"
+    # a negative det g, planted, is named at its smallest value
+    real = mcf._det
+
+    def planted(rows):
+        det = real(rows)
+        det[2, 4], det[7, 0] = -1e-3, -2.5
+        return det
+
+    monkeypatch.setattr(mcf, "_det", planted)
+    with pytest.raises(solver.BlowUpError) as info:
+        induced_metric(smooth)
+    assert info.value.reason == "min det g = -2.5 at grid index [7, 0]"
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -331,6 +361,110 @@ def test_large_step_factor_stays_finite_and_bounded():
     ):
         thetas, amps = graph_amplitude_decay(graph(g, m, modes), 0.5, 10.0)
         assert len(thetas) >= 2 and np.all(np.isfinite(amps)) and np.all(amps[1:] <= amps[0])
+
+
+def _nan_in_second_inverse(monkeypatch, at):
+    """Plants a NaN at index ``at`` of the second inverse transform mcf_step takes: in X+, not in Y."""
+    real = mcf._spectral_plan
+    calls = []
+
+    def plan(grid):
+        symbol, forward, inverse = real(grid)
+
+        def planted(a):
+            out = inverse(a)
+            calls.append(1)
+            if len(calls) == 2:
+                out[at] = math.nan
+            return out
+
+        return symbol, forward, planted
+
+    monkeypatch.setattr(mcf, "_spectral_plan", plan)
+
+
+def test_mcf_step_blowup_names_its_component_and_grid_index(monkeypatch):
+    _nan_in_second_inverse(monkeypatch, (1, 37))
+    with pytest.raises(solver.BlowUpError) as info:
+        mcf_step(circle_embedding(64, 1.0), 1e-3)
+    assert info.value.reason == "non-finite state in the MCF step: component 1 at grid index [37]"
+
+
+def test_mcf_compare_blowup_exits_3_naming_where(monkeypatch, tmp_path, capsys):
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / "mcf_sine.json").read_text())
+    cfg["circle"]["theta_end"] = 0.01
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "mcf.json"
+    path.write_text(json.dumps(cfg))
+    _nan_in_second_inverse(monkeypatch, (0, 200))
+    capsys.readouterr()
+    assert cli.main(["mcf-compare", str(path)]) == 3
+    # the first circle step fails, so the march reports its theta
+    du = circle_embedding(cfg["circle"]["points"], 1.0).grid.spacing[0]
+    dtheta = 0.01 / math.ceil(0.01 / (0.1 * du))
+    err = capsys.readouterr().err
+    assert err == f"error: non-finite state in the MCF step: component 0 at grid index [200] at t={dtheta:.6g}\n"
+
+
+def reference_mcf_step(E, dtheta):
+    """mcf_step as it was written before its per-grid plan, gradients included."""
+
+    def gradients(E):
+        out = np.empty((E.ncomp, E.grid.n, *E.grid.sizes))
+        for j in range(E.grid.n):
+            out[:, j] = solver.derivative(E.X, E.grid, j) + E.linear[:, j].reshape((-1,) + (1,) * E.grid.n)
+        return out
+
+    grid = E.grid
+    dX = gradients(E)
+    metric = induced_metric(dX)
+    c = float(np.max(np.einsum("ii...->...", metric[2])))
+    lap = 0.0
+    for j, (size, dx) in enumerate(zip(grid.sizes, [L / N for L, N in zip(grid.lengths, grid.sizes)])):
+        freq = np.fft.rfftfreq(size) if j == grid.n - 1 else np.fft.fftfreq(size)
+        lap = np.add.outer(lap, -((np.sin(2 * np.pi * freq) / dx) ** 2))
+    stiff = dtheta * c * lap
+    solve = 1.0 / (1.0 - 0.5 * stiff)
+    axes = tuple(range(1, 1 + grid.n))
+    half = np.fft.rfftn(0.5 * dtheta * mcf._divergence(dX, grid, metric), axes=axes) * solve
+    Y = EmbeddingField(grid, E.X + np.fft.irfftn(half, grid.sizes, axes=axes), E.linear)
+    full = (np.fft.rfftn(dtheta * mcf._divergence(gradients(Y), grid), axes=axes) - stiff * half) * solve
+    Xn = E.X + np.fft.irfftn(full, grid.sizes, axes=axes)
+    if not np.all(np.isfinite(Xn)):
+        raise solver.BlowUpError(float("nan"))
+    return EmbeddingField(grid, Xn, E.linear)
+
+
+def test_mcf_step_matches_the_reference_step_bit_for_bit():
+    # the per-grid plan (cached symbol, rfft/irfft on 1-d grids) and the in-place gradients
+    # change no bit of a step; odd sizes catch an inverse transform that loses its size
+    cases = [
+        (circle_embedding(63, 1.3), 2e-3),
+        (graph(Grid((45,), (TWO_PI,)), 2, [Mode(1, (1,), 0.2, 0.3), Mode(2, (3,), 0.1, 1.0)]), 5e-3),
+        (graph(Grid((15, 21), (TWO_PI, 5.0)), 1, [Mode(1, (1, 0), 0.1, 0.0), Mode(1, (1, 2), 0.05, 0.7)]), 1e-3),
+    ]
+    for E, dtheta in cases:
+        got = want = E
+        for _ in range(4):
+            got, want = mcf_step(got, dtheta), reference_mcf_step(want, dtheta)
+            assert got.X.tobytes() == want.X.tobytes()
+        assert not np.array_equal(got.X, E.X)
+    # the symbol is shared by every step on one grid, so nothing may write to it
+    g = Grid((32,), (TWO_PI,))
+    symbol = mcf._spectral_plan(g)[0]
+    assert not symbol.flags.writeable
+    with pytest.raises(ValueError):
+        symbol[1] = 0.0
+    # an equal grid shares the plan; another spacing gets its own symbol
+    assert mcf._spectral_plan(Grid((32,), (TWO_PI,)))[0] is symbol
+    other = mcf._spectral_plan(Grid((32,), (5.0,)))[0]
+    assert other.shape == symbol.shape and not np.array_equal(other, symbol)
+    # the cached spacing and stencil scale leave a grid's equality, hash and repr as they were
+    assert Grid((32,), (TWO_PI,)) == g and Grid((32,), (5.0,)) != g
+    assert hash(g) == hash(((32,), (TWO_PI,)))
+    assert repr(g) == f"Grid(sizes=(32,), lengths=({TWO_PI!r},))"
+    assert [f.name for f in dataclasses.fields(Grid) if f.compare] == ["sizes", "lengths"]
+    assert g.spacing == (TWO_PI / 32,) and g.stencil_scale == (1 / (2 * (TWO_PI / 32)),)
 
 
 def test_import_leaves_numpy_fft_unloaded():
