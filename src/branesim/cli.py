@@ -540,8 +540,10 @@ def cmd_mcf_compare(config_path: str, output_dir: str | None = None) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="branesim", description=__doc__)
-    parser.add_argument("--output-dir", default=None, help="override the config output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the random samples drawn by verify")
+    parser.add_argument(
+        "--output-dir", default=None, help="override the config output directory (simulate and mcf-compare only)"
+    )
+    parser.add_argument("--seed", type=int, default=None, help="seed of the random samples drawn by verify (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run the exact integer identity suites")
@@ -567,6 +569,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a global flag the command does not read is refused, not ignored
+        if args.seed is not None and args.command != "verify":
+            raise ConfigError(f"--seed: {args.command} draws no random samples; only verify takes a seed")
+        if args.output_dir is not None and args.command in ("verify", "characteristics"):
+            raise ConfigError(f"--output-dir: {args.command} writes no files; it prints to stdout")
         if args.command == "verify":
             shapes = []
             for token in args.shapes.split(","):
@@ -581,9 +588,10 @@ def main(argv=None) -> int:
                 shapes.append((m, n))
             if args.samples < 0:
                 raise ConfigError("--samples must be >= 0")
-            if args.seed < 0:
+            seed = 0 if args.seed is None else args.seed
+            if seed < 0:
                 raise ConfigError("--seed must be >= 0; a negative seed would draw the samples of its absolute value")
-            report = cmd_verify(shapes, args.samples, args.seed)
+            report = cmd_verify(shapes, args.samples, seed)
             print(report.to_json())
             print(f"verify completed in {report.elapsed_s:.3f}s", file=sys.stderr)
             return 0 if report.all_passed() else 1
@@ -591,9 +599,7 @@ def main(argv=None) -> int:
             return cmd_simulate(args.config, args.output_dir)
         if args.command == "characteristics":
             return cmd_characteristics(args.state)
-        if args.command == "mcf-compare":
-            return cmd_mcf_compare(args.config, args.output_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_mcf_compare(args.config, args.output_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

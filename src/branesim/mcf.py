@@ -28,6 +28,7 @@ import numpy as np
 from . import solver as _solver
 from .minors import _adjugate, _det
 from .solver import BlowUpError, ConfigError, Grid, GridField, derivative
+from .state import linf
 
 
 @dataclass
@@ -120,10 +121,7 @@ def tangency_residual(E: EmbeddingField) -> float:
     """Linf over points and directions of <mcf velocity, d_i X>."""
     dX = E.gradients()
     vel = _divergence(dX, E.grid)
-    worst = 0.0
-    for i in range(E.grid.n):
-        worst = max(worst, float(np.max(np.abs(np.einsum("c...,c...->...", vel, dX[:, i])))))
-    return worst
+    return linf(np.einsum("c...,c...->...", vel, dX[:, i]) for i in range(E.grid.n))
 
 
 @lru_cache(maxsize=8)

@@ -31,11 +31,11 @@ from .minors import _adjugate, _gram_plus_identity, _rows
 from .state import (
     EPS_SINGULAR,
     BlowUpError,
-    GraphData,
     PrimitiveState,
     _guard,
     constraint_residuals,
     lift,
+    linf,
     reconstruct_graph,
     to_conservative,
     to_primitive,
@@ -296,11 +296,11 @@ def max_wave_speed(fld: GridField) -> float:
     """
     W = fld.state_view()
     n = W.layout.n
-    smax = 0.0
+    speeds = []
     for j in range(n):
         c, s2 = _flux.char_speeds(W, [float(i == j) for i in range(n)])
-        smax = max(smax, float(np.max(np.abs(c) + np.sqrt(s2))))
-    return smax
+        speeds.append(np.abs(c) + np.sqrt(s2))
+    return linf(speeds)
 
 
 def cfl_dt(fld: GridField, cfl: float) -> float:
@@ -419,7 +419,7 @@ def initial_fields(grid: Grid, m: int, x_modes, v_modes):
         u, F = fourier_series(x_modes, grid, m)
         V, _ = fourier_series(v_modes, grid, m)
         D = graph_momentum(F, V)
-        W = to_primitive(lift(GraphData(F, D), layout))
+        W = to_primitive(lift(F, D, layout))
     if not (np.all(np.isfinite(u)) and np.min(W.tau) > EPS_SINGULAR):
         raise ConfigError(f"initial data too large: the heights overflow, or tau = 1/h is not above {EPS_SINGULAR}")
     return GridField(grid, layout, W.as_vector()), (F.copy(), np.asarray(D, dtype=float).copy()), u
@@ -464,8 +464,8 @@ def _entropy_residual_field(fld: GridField, slope: np.ndarray | None = None) -> 
 
 
 def _oracle_errors(fld: GridField, F: np.ndarray, D: np.ndarray):
-    g = reconstruct_graph(fld.state_view())
-    return float(np.max(np.abs(np.asarray(g.F) - F))), float(np.max(np.abs(np.asarray(g.D) - D)))
+    F_rec, D_rec = reconstruct_graph(fld.state_view())
+    return linf([np.subtract(F_rec, F)]), linf([np.subtract(D_rec, D)])
 
 
 def diagnostics(fld: GridField, t: float, oracle=None, slope: np.ndarray | None = None) -> DiagnosticsRow:
@@ -476,17 +476,15 @@ def diagnostics(fld: GridField, t: float, oracle=None, slope: np.ndarray | None 
     res = constraint_residuals(fld.state_view())
     ent = _entropy_residual_field(fld, slope)
     ent_l2 = float(np.sqrt(np.sum(ent * ent) * vol))
-    sig = sigma_residual(fld)
-    sig_linf = max((float(np.max(np.abs(v))) for v in sig.values()), default=0.0)
     row = DiagnosticsRow(
         t=t,
         total_energy=energy,
         entropy_residual_L2=ent_l2,
-        lambda_Linf=res.lam_linf(),
-        omega_Linf=res.omega_linf(),
-        phi_Linf=res.phi_linf(),
-        psi_Linf=res.psi_linf(),
-        sigma_Linf=sig_linf,
+        lambda_Linf=linf([res.lam]),
+        omega_Linf=linf(res.omega),
+        phi_Linf=linf(res.phi.values()),
+        psi_Linf=linf(res.psi.values()),
+        sigma_Linf=linf(sigma_residual(fld).values()),
     )
     if oracle is not None:
         row.oracle_F_err_Linf, row.oracle_D_err_Linf = _oracle_errors(fld, *oracle)

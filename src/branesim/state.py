@@ -2,8 +2,8 @@
 
 Three coordinate systems coexist:
 
-* graph data (F, D) — the gradient of the height functions and its conjugate
-  momentum;
+* graph data (F, D) — the gradient F (m x n) of the height functions and its
+  conjugate momentum D (length m);
 * the conservative tuple U = (h, D, P, M_{A,I});
 * the primitive tuple W = (tau, d, v, m_{A,I}) = U / h, the unknown of the
   symmetric system.
@@ -48,14 +48,6 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass
-class GraphData:
-    """Height-function gradient F (m x n) and conjugate momentum D (length m)."""
-
-    F: object
-    D: object
-
-
-@dataclass
 class PrimitiveState:
     """The symmetric-system unknown (tau, d_alpha, v_i, m_{A,I})."""
 
@@ -94,53 +86,37 @@ class ConservativeState:
 
 @dataclass
 class ConstraintResiduals:
-    """Pointwise distance from the constraint manifold; all zero on lifted data."""
+    """Pointwise distance from the constraint manifold in four groups, each reduced by linf; all zero on lifted data."""
 
     lam: object
     omega: list
     phi: dict
     psi: dict
 
-    @staticmethod
-    def _linf(values) -> float:
-        out = 0.0
-        for v in values:
-            a = np.max(np.abs(v))
-            if a > out:
-                out = float(a)
-        return out
 
-    def lam_linf(self) -> float:
-        return self._linf([self.lam])
-
-    def omega_linf(self) -> float:
-        return self._linf(self.omega)
-
-    def phi_linf(self) -> float:
-        return self._linf(self.phi.values())
-
-    def psi_linf(self) -> float:
-        return self._linf(self.psi.values())
+def linf(values) -> float:
+    """The largest |x| over a group of scalars or arrays: 0.0 for an empty group, NaN when any entry is NaN."""
+    return float(np.max([np.max(np.abs(v)) for v in values], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # lifting and reconstruction
 
 
-def lift(g: GraphData, layout: MinorLayout | None = None) -> ConservativeState:
-    """Lift graph data onto the constraint manifold.
+def lift(F, D, layout: MinorLayout | None = None) -> ConservativeState:
+    """Lift graph data (F, D) onto the constraint manifold.
 
     P = F^T D, M = all minors of F, and h = sqrt(1 + |D|^2 + |P|^2 + sum M^2);
     the minor-sum form of xi is used so the lifted point satisfies the
     algebraic constraints to rounding, not just to truncation.
     """
-    rows = _rows(g.F)
+    rows = _rows(F)
     m, n = _dims(rows)
     if layout is None:
         layout = enumerate_layout(m, n)
     elif (layout.m, layout.n) != (m, n):
         raise ConfigError("layout does not match graph data shape")
-    D = list(g.D)
+    D = list(D)
     if len(D) != m:
         raise ConfigError(f"D has length {len(D)}, expected {m}")
     P = [sum(rows[a][i] * D[a] for a in range(m)) for i in range(n)]
@@ -156,8 +132,13 @@ def lift(g: GraphData, layout: MinorLayout | None = None) -> ConservativeState:
 
 
 def _guard(value, what):
-    if np.min(np.abs(value)) <= EPS_SINGULAR:
-        raise BlowUpError(float("nan"), f"{what} below {EPS_SINGULAR}")
+    """BlowUpError where |value| is at most EPS_SINGULAR; on a grid, naming the grid index of the smallest."""
+    size = np.abs(value)
+    if np.min(size) <= EPS_SINGULAR:
+        at = ""
+        if np.ndim(size):
+            at = f" at grid index {[int(i) for i in np.unravel_index(np.argmin(size), size.shape)]}"
+        raise BlowUpError(float("nan"), f"{what} below {EPS_SINGULAR}{at}")
 
 
 def to_primitive(U: ConservativeState) -> PrimitiveState:
@@ -174,7 +155,7 @@ def to_conservative(W: PrimitiveState) -> ConservativeState:
     return ConservativeState(1 / t, [x / t for x in W.d], [x / t for x in W.v], [x / t for x in W.m_minors], W.layout)
 
 
-def reconstruct_graph(W: PrimitiveState) -> GraphData:
+def reconstruct_graph(W: PrimitiveState) -> tuple[list, list]:
     """Recover (F, D) from a primitive state: F_{ai} = m_{ai}/tau, D = d/tau."""
     _guard(W.tau, "|tau|")
     lay = W.layout
@@ -182,7 +163,7 @@ def reconstruct_graph(W: PrimitiveState) -> GraphData:
         [W.m_minors[lay.slot((a,), (i,))] / W.tau for i in range(1, lay.n + 1)]
         for a in range(1, lay.m + 1)
     ]
-    return GraphData(F, [x / W.tau for x in W.d])
+    return F, [x / W.tau for x in W.d]
 
 
 # ---------------------------------------------------------------------------

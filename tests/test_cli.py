@@ -123,6 +123,33 @@ def test_verify_rejects_a_negative_seed(monkeypatch, capsys):
         assert out == "" and err.startswith("error: --seed must be >= 0") and err.count("\n") == 1
 
 
+def test_verify_rejects_a_negative_sample_count(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_verify", lambda *args: _raise(AssertionError("verify ran")))
+    capsys.readouterr()
+    assert main(["verify", "--samples", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --samples must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--seed", "5", "simulate"], "--seed: simulate draws no random samples; only verify takes a seed"),
+        (["--seed", "0", "characteristics"], "--seed: characteristics draws no random samples; only verify takes a seed"),
+        (["--seed", "1", "mcf-compare"], "--seed: mcf-compare draws no random samples; only verify takes a seed"),
+        (["--output-dir", "out", "verify"], "--output-dir: verify writes no files; it prints to stdout"),
+        (["--output-dir", "", "characteristics"], "--output-dir: characteristics writes no files; it prints to stdout"),
+    ],
+    ids=["seed-simulate", "seed-characteristics", "seed-mcf-compare", "output-dir-verify", "output-dir-characteristics"],
+)
+def test_a_global_flag_the_command_does_not_read_exits_2(monkeypatch, capsys, argv, line):
+    # refused before the command runs, with one line naming the flag
+    for name in ("cmd_verify", "cmd_simulate", "cmd_characteristics", "cmd_mcf_compare"):
+        monkeypatch.setattr(cli, name, lambda *args: _raise(AssertionError("the command ran")))
+    capsys.readouterr()
+    assert main(argv + ([] if argv[-1] == "verify" else ["input.json"])) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_the_benchmark_check_accepts_the_report(tmp_path, capsys):
     # a report change that the benchmark would count as a failed run (ok_frac) must fail here too
     wl = _benchmark_workloads()
@@ -421,7 +448,8 @@ def test_simulate_blowup_is_reported_once_at_the_failing_step(tmp_path, capsys, 
 
 
 def test_simulate_guard_in_a_diagnostics_row_exits_3_with_the_rows_before_it(tmp_path, capsys):
-    # tau grows to about 8e18 by the t = 0.294 row, whose entropy flux trips the |h| guard
+    # tau grows to about 8e18 by the t = 0.294 row, whose entropy flux trips the |h| guard,
+    # which names the grid index of the smallest |h|
     cfg = json.loads((CONFIG_DIR / "string_n1.json").read_text())
     cfg["initial_data"]["X_modes"][0].update(amplitude=2.0, wave=[3])
     cfg["initial_data"]["V_modes"][0].update(amplitude=0.9, wave=[3])
@@ -431,7 +459,7 @@ def test_simulate_guard_in_a_diagnostics_row_exits_3_with_the_rows_before_it(tmp
     capsys.readouterr()
     assert main(["simulate", str(path)]) == 3
     assert capsys.readouterr().err == (
-        f"blow-up at t=0.294118; partial diagnostics written to {tmp_path / 'out'}; |h| below 1e-12\n"
+        f"blow-up at t=0.294118; partial diagnostics written to {tmp_path / 'out'}; |h| below 1e-12 at grid index [148]\n"
     )
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().strip().split("\n")[1:]
     assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.0, 5.0 / 51, 10.0 / 51], rel=1e-15)
@@ -513,6 +541,16 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blo
         rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
         last = round(float(blocked[len("snapshot_t") : -len(".json")]) * 13)
         assert [float(r.split(",")[0]) for r in rows] == pytest.approx([k / 13 for k in range(last + 1)], rel=1e-15)
+
+
+def test_invalid_json_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"m": 1,')
+    for command in ("simulate", "characteristics", "mcf-compare"):
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: invalid JSON (") and err.count("\n") == 1
 
 
 def test_non_utf8_input_exits_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ from branesim.flux import (
     wave_speeds,
 )
 from branesim.minors import ConfigError, enumerate_layout
-from branesim.state import ConservativeState, GraphData, PrimitiveState, lift
+from branesim.state import ConservativeState, PrimitiveState, lift
 
 
 def rand_primitive(rng, layout, lo=-9, hi=9):
@@ -261,7 +261,7 @@ def test_entropy_equals_half_h_on_lifted():
         for _ in range(20):
             F = rng.uniform(-0.9, 0.9, (m, n))
             D = list(rng.uniform(-0.9, 0.9, m))
-            U = lift(GraphData(F, D))
+            U = lift(F, D)
             assert entropy(U) == pytest.approx(U.h / 2, rel=1e-13)
 
 
@@ -349,8 +349,7 @@ def test_char_speeds_spectrum(m):
             if k % 2:
                 W = PrimitiveState.from_vector(list(rng.uniform(-1, 1, lay.state_dim)), lay)
             else:
-                g = GraphData(rng.normal(size=(m, n)), rng.normal(size=m))
-                W = state.to_primitive(lift(g, lay))
+                W = state.to_primitive(lift(rng.normal(size=(m, n)), rng.normal(size=m), lay))
             nu = rng.normal(size=n)
             c, s2 = char_speeds(W, nu)
             sigma = np.sqrt(s2)

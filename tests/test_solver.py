@@ -344,6 +344,15 @@ def test_march_reraises_a_blowup_in_after_with_the_time_of_that_row(k_fail):
     assert str(info.value) == f"|h| below 1e-12 at t={info.value.t:.6g}"
 
 
+def test_rk4_names_an_update_that_overflows_with_every_stage_finite():
+    # each stage is 1 + O(1e-292) and each slope 1e308, but k1 + 2 k2 + 2 k3 + k4 overflows
+    y = np.ones((2, 8))
+    with np.errstate(over="ignore"):
+        with pytest.raises(BlowUpError) as info:
+            rk4_step(y, 1e-300, lambda u, out: out.fill(1e308), names=["a", "b"])
+    assert info.value.reason == "non-finite state in the update: a at grid index [0]"
+
+
 def test_rk4_blowup_detected():
     y = np.array([1e200])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -598,6 +607,30 @@ def test_cfl_flat_and_static():
         cfl_dt(flat, 0.0)
 
 
+def _nan_velocity_field():
+    """A lifted m = 1 string on 16 points whose v_1 is NaN at one point."""
+    g = Grid((16,), (TWO_PI,))
+    fld, _, _ = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (1,), 0.05, 0.7)])
+    fld.values[2, 5] = math.nan
+    return fld
+
+
+def test_max_wave_speed_of_a_nan_velocity_is_nan():
+    # not the 0 of a static field, so cfl_dt does not fall back to cfl * dx and run refuses the field
+    fld = _nan_velocity_field()
+    assert math.isnan(solver.max_wave_speed(fld))
+    assert math.isnan(cfl_dt(fld, 0.4))
+    with pytest.raises(ConfigError, match="step bound nan"):
+        run(fld, t_end=0.1, cfl=0.4)
+
+
+def test_a_diagnostics_row_of_a_nan_velocity_reads_nan():
+    row = diagnostics(_nan_velocity_field(), 0.0)
+    assert math.isnan(row.omega_Linf) and math.isnan(row.lambda_Linf)
+    assert row.phi_Linf < 1e-14  # phi does not read v, so it stays finite
+    assert solver.rows_to_csv([row]).splitlines()[1].split(",")[3:5] == ["nan", "nan"]
+
+
 def test_cfl_speed_point_seven():
     g = Grid((64,), (TWO_PI,))
     fld = scalar_field(g, [np.full(64, 0.5), np.zeros(64), np.full(64, 0.2), np.zeros(64)])
@@ -609,7 +642,7 @@ def test_max_wave_speed_matches_eigvalsh(m, n):
     # closed form |v_j| + sigma_j against the eigensolve of every A_j(W),
     # on the constraint manifold (lifted graph data) and off it
     from branesim import flux
-    from branesim.state import GraphData, lift, to_primitive
+    from branesim.state import lift, to_primitive
 
     rng = np.random.default_rng(10 * m + n)
     g = Grid((8,) * n, (TWO_PI,) * n)
@@ -617,7 +650,7 @@ def test_max_wave_speed_matches_eigvalsh(m, n):
     for _ in range(5):
         F = rng.normal(size=(m, n, *g.sizes)) * 10.0 ** rng.uniform(-2, 2)
         D = rng.normal(size=(m, *g.sizes)) * 10.0 ** rng.uniform(-2, 2)
-        on = to_primitive(lift(GraphData(F, D), lay)).as_vector()
+        on = to_primitive(lift(F, D, lay)).as_vector()
         off = rng.normal(size=(lay.state_dim, *g.sizes)) * 10.0 ** rng.uniform(-2, 3, size=(lay.state_dim, *g.sizes))
         for vals in (on, off):
             fld = GridField(g, lay, vals)
@@ -659,12 +692,12 @@ def test_sigma_constant_field_zero_and_lifted_second_order():
 
 
 def test_initial_data_is_on_manifold():
-    from branesim.state import constraint_residuals
+    from branesim.state import constraint_residuals, linf
 
     g = Grid((64,), (TWO_PI,))
     fld, (F0, D0), u0 = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (1,), 0.05, 0.7)])
     res = constraint_residuals(fld.state_view())
-    assert max(res.lam_linf(), res.omega_linf(), res.phi_linf(), res.psi_linf()) < 1e-14
+    assert linf([res.lam, *res.omega, *res.phi.values(), *res.psi.values()]) < 1e-14
     assert np.max(np.abs(sigma_residual(fld).get((), 0.0))) == 0.0 if g.n == 1 else True
     assert u0.shape == (1, 64)
 

@@ -9,11 +9,11 @@ from branesim.minors import enumerate_layout
 from branesim.state import (
     BlowUpError,
     ConservativeState,
-    GraphData,
     PrimitiveState,
     constraint_residuals,
     lift,
     lifted_residuals_scaled,
+    linf,
     reconstruct_graph,
     to_conservative,
     to_primitive,
@@ -21,7 +21,7 @@ from branesim.state import (
 
 
 def max_residual(res):
-    return max(res.lam_linf(), res.omega_linf(), res.phi_linf(), res.psi_linf())
+    return linf([res.lam, *res.omega, *res.phi.values(), *res.psi.values()])
 
 
 def rand_rational_graph(rng, m, n):
@@ -35,19 +35,19 @@ def rand_rational_graph(rng, m, n):
 
 
 def test_lift_flat():
-    U = lift(GraphData([[0.0]], [0.0]))
+    U = lift([[0.0]], [0.0])
     assert U.h == 1.0
     assert U.P == [0.0] and U.M == [0.0]
 
 
 def test_lift_unit_momentum():
-    U = lift(GraphData([[0.0]], [1.0]))
+    U = lift([[0.0]], [1.0])
     assert U.h == pytest.approx(math.sqrt(2), abs=0)
     assert U.P == [0.0] and U.M == [0.0]
 
 
 def test_lift_2x2_example():
-    U = lift(GraphData([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0]))
+    U = lift([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0])
     assert U.P == [1.0, 2.0]
     assert U.M == [1.0, 2.0, 3.0, 4.0, -2.0]
     assert U.h == pytest.approx(math.sqrt(41.0), rel=1e-15)
@@ -59,9 +59,9 @@ def test_lift_h_at_least_one():
         m, n = rng.integers(1, 4), rng.integers(1, 3)
         F = rng.uniform(-1, 1, (m, n))
         D = rng.uniform(-1, 1, m)
-        U = lift(GraphData(F, list(D)))
+        U = lift(F, list(D))
         assert U.h >= 1.0
-    assert lift(GraphData(np.zeros((2, 2)), [0.0, 0.0])).h == 1.0
+    assert lift(np.zeros((2, 2)), [0.0, 0.0]).h == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,24 @@ def test_to_conservative_examples():
         to_conservative(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
 
 
+def test_guard_names_the_grid_index_of_its_smallest_value():
+    # a grid names where |h| or |tau| is smallest, not the first point at or below the bound;
+    # a scalar has no grid index to name
+    lay = enumerate_layout(1, 1)
+    h = np.ones((3, 4))
+    h[1, 2], h[2, 0] = 1e-12, -1e-13
+    ones = [np.ones((3, 4))]
+    with pytest.raises(BlowUpError) as info:
+        to_primitive(ConservativeState(h, ones, ones, ones, lay))
+    assert info.value.reason == "|h| below 1e-12 at grid index [2, 0]"
+    with pytest.raises(BlowUpError) as info:
+        to_conservative(PrimitiveState(np.array([1.0, 0.0, 0.5]), [1.0], [1.0], [1.0], lay))
+    assert info.value.reason == "|tau| below 1e-12 at grid index [1]"
+    with pytest.raises(BlowUpError) as info:
+        to_conservative(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
+    assert info.value.reason == "|tau| below 1e-12"
+
+
 def test_round_trips_within_ulps():
     lay = enumerate_layout(2, 1)
     rng = np.random.default_rng(4)
@@ -104,15 +122,30 @@ def test_round_trips_within_ulps():
 
 
 # ---------------------------------------------------------------------------
+# linf
+
+
+def test_linf_takes_the_largest_magnitude_over_scalars_and_arrays():
+    assert linf([]) == 0.0 and type(linf([])) is float
+    assert linf([-3.0, np.array([[1.0, -2.5], [0.5, 2.0]]), Fr(-7, 2)]) == 3.5
+    assert linf(x for x in (np.zeros(3), -0.0)) == 0.0
+
+
+def test_linf_of_a_group_holding_a_nan_is_nan():
+    # wherever the NaN sits: alone, in an array, before or after the largest entry
+    grid = np.array([1.0, math.nan, -5.0])
+    for values in ([math.nan], [grid], [9.0, grid], [grid, 9.0], [np.array([[math.nan]]), -1e300]):
+        assert math.isnan(linf(values))
+
+
+# ---------------------------------------------------------------------------
 # graph reconstruction
 
 
 def test_reconstruct_examples():
     lay = enumerate_layout(1, 1)
-    g = reconstruct_graph(PrimitiveState(1.0, [0.0], [0.0], [0.3], lay))
-    assert g.F == [[0.3]]
-    g = reconstruct_graph(PrimitiveState(0.5, [0.0], [0.0], [0.5], lay))
-    assert g.F == [[1.0]]
+    assert reconstruct_graph(PrimitiveState(1.0, [0.0], [0.0], [0.3], lay)) == ([[0.3]], [0.0])
+    assert reconstruct_graph(PrimitiveState(0.5, [0.2], [0.0], [0.5], lay)) == ([[1.0]], [0.4])
     with pytest.raises(BlowUpError):
         reconstruct_graph(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
 
@@ -122,9 +155,9 @@ def test_reconstruct_round_trip():
     for m, n in [(1, 1), (2, 2), (3, 2)]:
         F = rng.uniform(-0.8, 0.8, (m, n))
         D = list(rng.uniform(-0.8, 0.8, m))
-        g = reconstruct_graph(to_primitive(lift(GraphData(F, D))))
-        assert np.max(np.abs(np.array(g.F) - F)) < 1e-13
-        assert np.max(np.abs(np.array(g.D) - D)) < 1e-13
+        F_rec, D_rec = reconstruct_graph(to_primitive(lift(F, D)))
+        assert np.max(np.abs(np.array(F_rec) - F)) < 1e-13
+        assert np.max(np.abs(np.array(D_rec) - D)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +183,7 @@ def test_residuals_vanish_on_lifted_floats():
     for m, n in [(1, 1), (2, 2), (3, 3), (2, 3)]:
         F = rng.uniform(-0.8, 0.8, (m, n))
         D = list(rng.uniform(-0.8, 0.8, m))
-        res = constraint_residuals(to_primitive(lift(GraphData(F, D))))
+        res = constraint_residuals(to_primitive(lift(F, D)))
         assert max_residual(res) < 1e-14
 
 
@@ -190,6 +223,6 @@ def test_residuals_work_on_grid_arrays():
     x = np.linspace(0, 2 * np.pi, 32, endpoint=False)
     F = np.array([[0.3 * np.cos(x)]])
     D = [0.2 * np.sin(x)]
-    res = constraint_residuals(to_primitive(lift(GraphData(F, D), lay)))
+    res = constraint_residuals(to_primitive(lift(F, D, lay)))
     assert res.lam.shape == x.shape
     assert max_residual(res) < 1e-14
