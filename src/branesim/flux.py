@@ -261,7 +261,7 @@ def conservative_flux(j: int, U: ConservativeState):
     m, n = lay.m, lay.n
     if not 1 <= j <= n:
         raise ConfigError(f"direction {j} out of range 1..{n}")
-    _guard(U.h, "|h|")
+    _guard(np.abs(U.h), "|h|")
     h = U.h
     Mv = U.minor_value
     out = [0] * lay.state_dim
@@ -318,7 +318,7 @@ def conservative_flux(j: int, U: ConservativeState):
 
 def entropy(U: ConservativeState):
     """S = (1 + |D|^2 + |P|^2 + sum M^2) / (2h); strictly convex on h > 0."""
-    _guard(U.h, "|h|")
+    _guard(np.abs(U.h), "|h|")
     num = 1
     for x in U.D:
         num = num + x * x
@@ -335,11 +335,10 @@ def entropy_flux(U: ConservativeState, j: int):
     n = lay.n
     if not 1 <= j <= n:
         raise ConfigError(f"direction {j} out of range 1..{n}")
-    _guard(U.h, "|h|")
+    S = entropy(U)  # guards |h| before the divisions below
     h = U.h
     h2 = h * h
     Mv = U.minor_value
-    S = entropy(U)
     out = S * U.P[j - 1] / h
 
     for A, I in lay._raw:

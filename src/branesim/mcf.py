@@ -28,7 +28,7 @@ import numpy as np
 from . import solver as _solver
 from .minors import _adjugate, _det
 from .solver import BlowUpError, ConfigError, Grid, GridField, derivative
-from .state import linf
+from .state import _guard, _nonfinite_reason, linf
 
 
 @dataclass
@@ -87,14 +87,12 @@ def induced_metric(dX: np.ndarray):
     """(g_ij, det g, g^ij) per point of dX (ncomp, n, *sizes).
 
     det g and the adjugate behind g^-1 = adj g / det g come from ``minors``, whose
-    determinant side ``verify`` checks exactly.  BlowUpError, naming the grid index,
-    where det g is not positive: at its smallest value, or at its first NaN.
+    determinant side ``verify`` checks exactly.  BlowUpError (``state._guard``) unless
+    det g is above 0 at every point, so a NaN fails too.
     """
     g = np.einsum("ci...,cj...->ij...", dX, dX)
     detg = _det(g)
-    if not np.min(detg) > 0.0:  # a NaN fails too
-        worst = np.unravel_index(np.argmin(detg), detg.shape)  # the smallest value, or the first NaN
-        raise BlowUpError(float("nan"), f"min det g = {detg[worst]:.6g} at grid index {[int(i) for i in worst]}")
+    _guard(detg, "det g", 0.0)
     return g, detg, np.array(_adjugate(g)) / detg
 
 
@@ -174,7 +172,7 @@ def mcf_step(E: EmbeddingField, dtheta: float) -> EmbeddingField:
     full = (forward(dtheta * mcf_velocity(Y)) - stiff * half) * solve
     Xn = E.X + inverse(full)
     if not np.all(np.isfinite(Xn)):
-        raise BlowUpError(float("nan"), _solver._nonfinite_reason(Xn, "the MCF step"))
+        raise BlowUpError(float("nan"), _nonfinite_reason(Xn, "the MCF step"))
     return EmbeddingField(grid, Xn, E.linear)
 
 

@@ -33,6 +33,7 @@ from .state import (
     BlowUpError,
     PrimitiveState,
     _guard,
+    _nonfinite_reason,
     constraint_residuals,
     lift,
     linf,
@@ -261,12 +262,6 @@ def _blowup_reason(y: np.ndarray, dt: float, rhs, names) -> str:
     return _nonfinite_reason(bad, where, names)
 
 
-def _nonfinite_reason(a: np.ndarray, where: str, names=None) -> str:
-    """Names the first non-finite value of a (component, *grid) array: its component and grid index."""
-    c, *point = (int(i) for i in np.unravel_index(np.flatnonzero(~np.isfinite(a))[0], a.shape))
-    return f"non-finite state in {where}: {names[c] if names else f'component {c}'} at grid index {point}"
-
-
 def rk4_step(y: np.ndarray, dt: float, rhs, out=None, work=None, names=None) -> np.ndarray:
     """Classical four-stage Runge-Kutta update; returns y + (dt/6) (k1 + 2 k2 + 2 k3 + k4).
 
@@ -304,11 +299,13 @@ def max_wave_speed(fld: GridField) -> float:
 
 
 def cfl_dt(fld: GridField, cfl: float) -> float:
-    """dt = cfl * min(dx) / s_max, falling back to cfl * min(dx) for static fields."""
+    """dt = cfl * min(dx) / s_max, or cfl * min(dx) for static fields; a NaN s_max raises BlowUpError naming its source."""
     if not 0 < cfl <= 1:
         raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
     dx = min(fld.grid.spacing)
     smax = max_wave_speed(fld)
+    if math.isnan(smax):
+        raise BlowUpError(math.nan, _nonfinite_reason(fld.values, "the CFL bound", _component_names(fld.layout)))
     if smax == 0.0:
         return cfl * dx
     return cfl * dx / smax
@@ -323,7 +320,7 @@ def sigma_residual(fld: GridField) -> dict:
     lay = fld.layout
     n, r = lay.n, lay.r
     tau = fld.values[0]
-    _guard(tau, "|tau|")
+    _guard(np.abs(tau), "|tau|")
     out = {}
     for kI in range(2, min(n, r + 1) + 1):
         for Ap in combinations(range(1, lay.m + 1), kI - 1):
@@ -419,10 +416,10 @@ def initial_fields(grid: Grid, m: int, x_modes, v_modes):
         u, F = fourier_series(x_modes, grid, m)
         V, _ = fourier_series(v_modes, grid, m)
         D = graph_momentum(F, V)
-        W = to_primitive(lift(F, D, layout))
-    if not (np.all(np.isfinite(u)) and np.min(W.tau) > EPS_SINGULAR):
+        U = lift(F, D, layout)
+    if not (np.all(np.isfinite(u)) and np.min(1 / U.h) > EPS_SINGULAR):  # checked before to_primitive: a NaN h fails
         raise ConfigError(f"initial data too large: the heights overflow, or tau = 1/h is not above {EPS_SINGULAR}")
-    return GridField(grid, layout, W.as_vector()), (F.copy(), np.asarray(D, dtype=float).copy()), u
+    return GridField(grid, layout, to_primitive(U).as_vector()), (F.copy(), np.asarray(D, dtype=float).copy()), u
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ EPS_SINGULAR = 1e-12
 
 
 class BlowUpError(RuntimeError):
-    """A non-finite state, |tau| or |h| at most EPS_SINGULAR, or a degenerate metric; the CLI exits 3.
+    """A non-finite state or a failed ``_guard`` (|tau|, |h| or det g not above its floor); the CLI exits 3.
 
     Guards raise with t = nan; ``solver.march`` re-raises with the t of the failing step or row.
     It carries no output: ``solver.run`` hands out each row and snapshot through its callbacks as it takes them.
@@ -131,33 +131,37 @@ def lift(F, D, layout: MinorLayout | None = None) -> ConservativeState:
     return ConservativeState(np.sqrt(h2), D, P, M, layout)
 
 
-def _guard(value, what):
-    """BlowUpError where |value| is at most EPS_SINGULAR; on a grid, naming the grid index of the smallest."""
-    size = np.abs(value)
-    if np.min(size) <= EPS_SINGULAR:
-        at = ""
-        if np.ndim(size):
-            at = f" at grid index {[int(i) for i in np.unravel_index(np.argmin(size), size.shape)]}"
-        raise BlowUpError(float("nan"), f"{what} below {EPS_SINGULAR}{at}")
+def _guard(value, what, floor=EPS_SINGULAR):
+    """BlowUpError unless every entry is above floor (a NaN fails), naming the smallest or first NaN and its grid index."""
+    if not np.min(value) > floor:
+        worst = np.unravel_index(np.argmin(value), np.shape(value))
+        at = f" at grid index {[int(i) for i in worst]}" if worst else ""
+        raise BlowUpError(float("nan"), f"min {what} = {float(np.asarray(value)[worst]):.6g}{at}")
+
+
+def _nonfinite_reason(a: np.ndarray, where: str, names=None) -> str:
+    """Names the first non-finite value of a (component, *grid) array: its component and grid index."""
+    c, *point = (int(i) for i in np.unravel_index(np.flatnonzero(~np.isfinite(a))[0], a.shape))
+    return f"non-finite state in {where}: {names[c] if names else f'component {c}'} at grid index {point}"
 
 
 def to_primitive(U: ConservativeState) -> PrimitiveState:
     """W = U / h."""
-    _guard(U.h, "|h|")
+    _guard(np.abs(U.h), "|h|")
     h = U.h
     return PrimitiveState(1 / h, [x / h for x in U.D], [x / h for x in U.P], [x / h for x in U.M], U.layout)
 
 
 def to_conservative(W: PrimitiveState) -> ConservativeState:
     """U = W / tau."""
-    _guard(W.tau, "|tau|")
+    _guard(np.abs(W.tau), "|tau|")
     t = W.tau
     return ConservativeState(1 / t, [x / t for x in W.d], [x / t for x in W.v], [x / t for x in W.m_minors], W.layout)
 
 
 def reconstruct_graph(W: PrimitiveState) -> tuple[list, list]:
     """Recover (F, D) from a primitive state: F_{ai} = m_{ai}/tau, D = d/tau."""
-    _guard(W.tau, "|tau|")
+    _guard(np.abs(W.tau), "|tau|")
     lay = W.layout
     F = [
         [W.m_minors[lay.slot((a,), (i,))] / W.tau for i in range(1, lay.n + 1)]

@@ -97,13 +97,32 @@ def test_guard_names_the_grid_index_of_its_smallest_value():
     ones = [np.ones((3, 4))]
     with pytest.raises(BlowUpError) as info:
         to_primitive(ConservativeState(h, ones, ones, ones, lay))
-    assert info.value.reason == "|h| below 1e-12 at grid index [2, 0]"
+    assert info.value.reason == "min |h| = 1e-13 at grid index [2, 0]"
     with pytest.raises(BlowUpError) as info:
         to_conservative(PrimitiveState(np.array([1.0, 0.0, 0.5]), [1.0], [1.0], [1.0], lay))
-    assert info.value.reason == "|tau| below 1e-12 at grid index [1]"
+    assert info.value.reason == "min |tau| = 0 at grid index [1]"
     with pytest.raises(BlowUpError) as info:
         to_conservative(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
-    assert info.value.reason == "|tau| below 1e-12"
+    assert info.value.reason == "min |tau| = 0"
+
+
+_NAN_FIRST, _NAN_LAST = np.array([math.nan, 1e-13, 1.0]), np.array([1.0, 1e-13, math.nan])
+
+
+@pytest.mark.parametrize(
+    "refuse, reason",
+    [
+        (lambda lay: to_primitive(ConservativeState(_NAN_FIRST, [1.0], [1.0], [1.0], lay)), "min |h| = nan at grid index [0]"),
+        (lambda lay: to_conservative(PrimitiveState(_NAN_FIRST, [1.0], [1.0], [1.0], lay)), "min |tau| = nan at grid index [0]"),
+        (lambda lay: reconstruct_graph(PrimitiveState(_NAN_LAST, [1.0], [1.0], [1.0], lay)), "min |tau| = nan at grid index [2]"),
+    ],
+    ids=["h", "tau", "tau-nan-after-the-smallest"],
+)
+def test_a_guard_refuses_a_nan_and_names_it_before_the_smallest_value(refuse, reason):
+    # min is NaN and NaN <= floor is false, so a guard asks "is every entry above the floor?", which NaN fails
+    with pytest.raises(BlowUpError) as info:
+        refuse(enumerate_layout(1, 1))
+    assert info.value.reason == reason
 
 
 def test_round_trips_within_ulps():
