@@ -103,13 +103,8 @@ def linf(values) -> float:
 # lifting and reconstruction
 
 
-def lift(F, D, layout: MinorLayout | None = None) -> ConservativeState:
-    """Lift graph data (F, D) onto the constraint manifold.
-
-    P = F^T D, M = all minors of F, and h = sqrt(1 + |D|^2 + |P|^2 + sum M^2);
-    the minor-sum form of xi is used so the lifted point satisfies the
-    algebraic constraints to rounding, not just to truncation.
-    """
+def _lift_parts(F, D, layout: MinorLayout | None):
+    """(rows of F, layout, D, P = F^T D, M = all minors of F), with the layout and the length of D checked against F."""
     rows = _rows(F)
     m, n = _dims(rows)
     if layout is None:
@@ -120,7 +115,17 @@ def lift(F, D, layout: MinorLayout | None = None) -> ConservativeState:
     if len(D) != m:
         raise ConfigError(f"D has length {len(D)}, expected {m}")
     P = [sum(rows[a][i] * D[a] for a in range(m)) for i in range(n)]
-    M = all_minors(rows, layout)
+    return rows, layout, D, P, all_minors(rows, layout)
+
+
+def lift(F, D, layout: MinorLayout | None = None) -> ConservativeState:
+    """Lift graph data (F, D) onto the constraint manifold.
+
+    P = F^T D, M = all minors of F, and h = sqrt(1 + |D|^2 + |P|^2 + sum M^2);
+    the minor-sum form of xi is used so the lifted point satisfies the
+    algebraic constraints to rounding, not just to truncation.
+    """
+    _, layout, D, P, M = _lift_parts(F, D, layout)
     h2 = 1
     for x in M:
         h2 = h2 + x * x
@@ -245,13 +250,7 @@ def lifted_residuals_scaled(F, D, layout: MinorLayout | None = None) -> Constrai
     it genuinely retests the polyconvexity identity rather than the lift's
     own bookkeeping.
     """
-    rows = _rows(F)
-    m, n = _dims(rows)
-    if layout is None:
-        layout = enumerate_layout(m, n)
-    D = list(D)
-    P = [sum(rows[a][i] * D[a] for a in range(m)) for i in range(n)]
-    M = all_minors(rows, layout)
+    rows, layout, D, P, M = _lift_parts(F, D, layout)
     h2 = xi(rows)
     for x in D:
         h2 = h2 + x * x

@@ -288,7 +288,7 @@ def test_entropy_strictly_convex():
         assert np.min(np.linalg.eigvalsh(0.5 * (H + H.T))) > 0.0
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 1), (1, 2)])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 1), (1, 2), (3, 1), (3, 2)])
 def test_entropy_law_pointwise(shape):
     # d_t S + div(entropy flux) vanishes when d_t U comes from the fluxes
     m, n = shape
@@ -309,6 +309,40 @@ def test_entropy_law_pointwise(shape):
         for j in range(1, n + 1)
     )
     assert abs(dS + divPhi) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_entropy_flux_is_the_quadratic_form_of_A(shape):
+    # Q_j = u . A_j(u) u / (2h^2) with u = (1, D, P, M), exactly, diagonal and both triangles of A_j included
+    m, n = shape
+    lay = enumerate_layout(m, n)
+    rng = random.Random(70 + 10 * m + n)
+    for _ in range(10):
+        u = [Fr(1), *rand_primitive(rng, lay).as_vector()[1:]]
+        h = Fr(rng.randint(1, 9), rng.randint(1, 4))
+        U = ConservativeState(h, u[1 : 1 + m], u[1 + m : 1 + m + n], u[1 + m + n :], lay)
+        for j in range(1, n + 1):
+            A = assemble_A(j, PrimitiveState.from_vector(u, lay))
+            assert entropy_flux(U, j) == np.dot(u, A.dot(u)) / (2 * h * h)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_entropy_pair_holds_off_the_manifold_for_strings(m):
+    # grad_W S . A_1(W) = grad_W Q_1 at every W when n = 1, constraints or not
+    lay = enumerate_layout(m, 1)
+    rng = np.random.default_rng(40 + m)
+
+    def through_U(fn, w):
+        return np.array([fn(state.to_conservative(PrimitiveState.from_vector(list(w), lay)))])
+
+    for _ in range(20):
+        w0 = np.concatenate([[rng.uniform(0.3, 2.0)], rng.uniform(-1.0, 1.0, lay.state_dim - 1)])
+        gS, gQ = (
+            np.array([_complex_step(lambda w: through_U(fn, w), w0, k)[0] for k in range(lay.state_dim)])
+            for fn in (entropy, lambda U: entropy_flux(U, 1))
+        )
+        A = assemble_A(1, PrimitiveState.from_vector(list(w0), lay))
+        assert np.max(np.abs(gS @ A - gQ)) < 1e-12 * max(1.0, np.max(np.abs(gQ)))
 
 
 # ---------------------------------------------------------------------------

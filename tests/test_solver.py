@@ -689,6 +689,35 @@ def test_sigma_constant_field_zero_and_lifted_second_order():
 
 
 # ---------------------------------------------------------------------------
+# entropy residual
+
+
+def test_entropy_residual_sees_a_sign_fault_in_the_symmetric_matrices(monkeypatch):
+    # d_t W comes from the direct terms and the entropy flux from the triplets, so a row
+    # cross-checks the two: flip the v_i <-> m_{A,I} column-swap couplings in the triplets only
+    from branesim import flux
+
+    real = flux._symmetric_triplets
+
+    def flipped(m, n, j):
+        def swap(p, q, slot, sign):
+            # a v row against a minor column, other than the compression term A_j[v_j, m] = -m
+            return 1 + m <= p <= m + n < q and not (slot == q and sign < 0)
+
+        return tuple(
+            (p, q, slot, -sign if swap(p, q, slot, sign) or swap(q, p, slot, sign) else sign)
+            for p, q, slot, sign in real(m, n, j)
+        )
+
+    g = Grid((48, 48), (TWO_PI, TWO_PI))
+    X = [Mode(1, (1, 0), 0.3, 0.0), Mode(1, (0, 1), 0.3, 0.5)]
+    fld, _, _ = initial_fields(g, 1, X, [Mode(1, (1, 1), 0.15, 0.3)])
+    clean = diagnostics(fld, 0.0).entropy_residual_L2
+    monkeypatch.setattr(flux, "_symmetric_triplets", flipped)
+    assert diagnostics(fld, 0.0).entropy_residual_L2 >= 10 * clean
+
+
+# ---------------------------------------------------------------------------
 # initial data
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from branesim.minors import enumerate_layout
+from branesim.minors import ConfigError, enumerate_layout
 from branesim.state import (
     BlowUpError,
     ConservativeState,
@@ -62,6 +62,16 @@ def test_lift_h_at_least_one():
         U = lift(F, list(D))
         assert U.h >= 1.0
     assert lift(np.zeros((2, 2)), [0.0, 0.0]).h == 1.0
+
+
+@pytest.mark.parametrize("build", [lift, lifted_residuals_scaled], ids=["lift", "lifted_residuals_scaled"])
+def test_lift_builds_refuse_a_D_or_layout_that_does_not_fit_F(build):
+    F = [[1, 2], [3, 4]]
+    for D in ([1, 2, 3], [1]):
+        with pytest.raises(ConfigError, match=f"^D has length {len(D)}, expected 2$"):
+            build(F, D)
+    with pytest.raises(ConfigError, match="layout does not match graph data shape"):
+        build(F, [1, 2], enumerate_layout(2, 3))
 
 
 # ---------------------------------------------------------------------------
