@@ -201,40 +201,34 @@ def _residual_core(tau, d, v, mm, layout: MinorLayout, one) -> ConstraintResidua
             acc = acc - mval((a,), (i,)) * d[a - 1]
         omega.append(acc)
 
-    phi = {}
-    for kI in range(1, min(n, r + 1) + 1):
-        for A in combinations(range(1, m + 1), kI - 1):
-            for I in combinations(range(1, n + 1), kI):
-                for alpha in range(1, m + 1):
-                    sa = _rank(A, alpha)
-                    acc = 0
-                    for i in I:
-                        s = _sign(sa + _rank(I, i))
-                        acc = acc + s * mval(A, tuple(x for x in I if x != i)) * mval((alpha,), (i,))
-                    if alpha not in A and kI <= r:
-                        acc = acc - tau * mval(tuple(sorted(A + (alpha,))), I)
-                    phi[(A, I, alpha)] = acc
+    def incidence(p, q, val):
+        """phi^alpha_{A,I} of the p x q minors val(A, I), expanded along the columns I: keyed (A, I, alpha)."""
+        out = {}
+        for k in range(1, min(q, r + 1) + 1):
+            for A in combinations(range(1, p + 1), k - 1):
+                for I in combinations(range(1, q + 1), k):
+                    for alpha in range(1, p + 1):
+                        sa = _rank(A, alpha)
+                        acc = 0
+                        for i in I:
+                            s = _sign(sa + _rank(I, i))
+                            acc = acc + s * val(A, tuple(x for x in I if x != i)) * val((alpha,), (i,))
+                        if alpha not in A and k <= r:
+                            acc = acc - tau * val(tuple(sorted(A + (alpha,))), I)
+                        out[(A, I, alpha)] = acc
+        return out
 
-    psi = {}
-    for kA in range(1, min(m, r + 1) + 1):
-        for A in combinations(range(1, m + 1), kA):
-            for I in combinations(range(1, n + 1), kA - 1):
-                for i in range(1, n + 1):
-                    si = _rank(I, i)
-                    acc = 0
-                    for alpha in A:
-                        s = _sign(_rank(A, alpha) + si)
-                        acc = acc + s * mval(tuple(x for x in A if x != alpha), I) * mval((alpha,), (i,))
-                    if i not in I and kA <= r:
-                        acc = acc - tau * mval(A, tuple(sorted(I + (i,))))
-                    psi[(A, I, i)] = acc
-
+    phi = incidence(m, n, mval)
+    # psi^i_{A,I} is phi read on the transposed minors m^T_{I,A} = m_{A,I}, re-keyed from (I, A, i)
+    psi = {(A, I, i): x for (I, A, i), x in incidence(n, m, lambda a, i: mval(i, a)).items()}
     return ConstraintResiduals(lam, omega, phi, psi)
 
 
 def constraint_residuals(W: PrimitiveState) -> ConstraintResiduals:
     """lambda, omega_i, phi^alpha_{A,I}, psi^i_{A,I} of a primitive state.
 
+    phi expands the minors along their columns I and psi along their rows A;
+    psi is phi read on the transposed minors m^T_{I,A} = m_{A,I}, one walk.
     Out-of-range minor references (rank above r) are dropped, which is where
     the indicator factors in the definitions become unsatisfiable; the empty
     pair contributes tau throughout.

@@ -871,6 +871,22 @@ def test_run_energy_conservation_and_constraint_order():
     assert math.log2(finals[64].omega_Linf / finals[128].omega_Linf) > 1.8
 
 
+def test_run_preserves_phi_and_psi_to_second_order_where_they_are_live():
+    # at m = 1 phi and psi are structural zeros; at m = n = 2 they are live and must converge
+    X = [Mode(1, (1, 0), 0.1, 0.0), Mode(2, (0, 1), 0.1, 0.5), Mode(1, (1, 1), 0.05, 0.2)]
+    V = [Mode(2, (1, 1), 0.05, 0.3)]
+    finals = {}
+    for N in (32, 64):
+        fld, _, _ = initial_fields(Grid((N, N), (TWO_PI, TWO_PI)), 2, X, V)
+        rows = []
+        run(fld, t_end=0.5, cfl=0.4, on_row=rows.append)
+        finals[N] = rows[-1]
+    for name in ("phi_Linf", "psi_Linf"):
+        coarse, fine = getattr(finals[32], name), getattr(finals[64], name)
+        assert coarse > 1e-12
+        assert math.log2(coarse / fine) >= 1.8
+
+
 def test_run_time_reversal_returns_to_initial():
     g = Grid((64,), (TWO_PI,))
     X = [Mode(1, (1,), 0.1, 0.0)]

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 
-from branesim.minors import ConfigError, enumerate_layout
+from branesim.minors import ConfigError, all_minors, enumerate_layout
 from branesim.state import (
     BlowUpError,
     ConservativeState,
@@ -255,3 +255,63 @@ def test_residuals_work_on_grid_arrays():
     res = constraint_residuals(to_primitive(lift(F, D, lay)))
     assert res.lam.shape == x.shape
     assert max_residual(res) < 1e-14
+
+
+def rand_rational_state(rng, m, n):
+    """A primitive state off the manifold: every entry an independent random rational."""
+    lay = enumerate_layout(m, n)
+    return PrimitiveState.from_vector([Fr(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(lay.state_dim)], lay)
+
+
+def transposed(W):
+    """The state of F^T: layout (n, m), the same tau, d and v swapped, and m^T_{I,A} = m_{A,I}."""
+    lay, tlay = W.layout, enumerate_layout(W.layout.n, W.layout.m)
+    mm = [W.m_minors[lay.index_of[(A, I)]] for I, A in tlay.index_of]
+    return PrimitiveState(W.tau, list(W.v), list(W.d), mm, tlay)
+
+
+@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_psi_is_phi_on_the_transposed_minors(shape):
+    # phi^alpha_{A,I} expands along the columns and psi^i_{A,I} along the rows: F -> F^T swaps them
+    m, n = shape
+    rng = random.Random(2000 + 10 * m + n)
+    for _ in range(20):
+        W = rand_rational_state(rng, m, n)
+        res, tres = constraint_residuals(W), constraint_residuals(transposed(W))
+        assert {(I, A, i): x for (A, I, i), x in res.psi.items()} == tres.phi
+        assert {(I, A, a): x for (A, I, a), x in res.phi.items()} == tres.psi
+        assert any(x != 0 for x in res.psi.values()) or min(m, n) == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)])
+def test_phi_and_psi_vanish_identically_when_F_has_one_row_or_column(shape):
+    # the k = 1 entries are tau m - tau m, the rest x y - y x: exactly 0 on any finite state
+    m, n = shape
+    lay = enumerate_layout(m, n)
+    rng = np.random.default_rng(10 * m + n)
+    for _ in range(50):
+        vec = rng.uniform(-2.0, 2.0, (lay.state_dim, 7))
+        res = constraint_residuals(PrimitiveState.from_vector(list(vec), lay))
+        assert all(np.all(x == 0) for x in (*res.phi.values(), *res.psi.values()))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_phi_and_psi_respond_to_a_minor_off_the_manifold(shape):
+    m, n = shape
+    lay = enumerate_layout(m, n)
+    rng = random.Random(3000 + 10 * m + n)
+    F, _ = rand_rational_graph(rng, m, n)
+    mm = all_minors(F, lay)
+
+    def residuals():
+        return constraint_residuals(PrimitiveState(Fr(1), [Fr(0)] * m, [Fr(0)] * n, mm, lay))
+
+    res = residuals()
+    assert all(x == 0 for x in (*res.phi.values(), *res.psi.values()))
+    delta = Fr(1, 7)
+    mm[lay.index_of[((1, 2), (1, 2))]] += delta
+    res = residuals()
+    phi, psi = max(abs(x) for x in res.phi.values()), max(abs(x) for x in res.psi.values())
+    assert phi > 0 and psi > 0
+    if shape == (2, 2):
+        assert phi == psi == delta
