@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -198,8 +199,18 @@ def load_json(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+
+    def unique_keys(pairs):
+        """The object of pairs, refusing a key given twice rather than keeping its last value."""
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} is given more than once")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
@@ -568,6 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every command prints to stdout only after its work, then returns 0; verify sets 1 before its print
+    code = 0
     try:
         # a global flag the command does not read is refused, not ignored
         if args.seed is not None and args.command != "verify":
@@ -592,20 +605,27 @@ def main(argv=None) -> int:
             if seed < 0:
                 raise ConfigError("--seed must be >= 0; a negative seed would draw the samples of its absolute value")
             report = cmd_verify(shapes, args.samples, seed)
+            code = 0 if report.all_passed() else 1
             print(report.to_json())
             print(f"verify completed in {report.elapsed_s:.3f}s", file=sys.stderr)
-            return 0 if report.all_passed() else 1
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.output_dir)
-        if args.command == "characteristics":
-            return cmd_characteristics(args.state)
-        return cmd_mcf_compare(args.config, args.output_dir)
+        elif args.command == "simulate":
+            code = cmd_simulate(args.config, args.output_dir)
+        elif args.command == "characteristics":
+            code = cmd_characteristics(args.state)
+        else:
+            code = cmd_mcf_compare(args.config, args.output_dir)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: the work is done, so keep its code, and point stdout
+        # at devnull so that the interpreter's last flush does not print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return code
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .minors import ConfigError, MinorLayout, _rank, _sign, enumerate_layout
+from .minors import ConfigError, MinorLayout, _rank, _sign, _squares, enumerate_layout
 from .state import ConservativeState, PrimitiveState, _guard
 
 
@@ -283,9 +283,7 @@ def conservative_flux(j: int, U: ConservativeState):
                 )
         out[lay.d_slot(alpha)] = acc / h
 
-    msq = 1
-    for x in U.M:
-        msq = msq + x * x
+    msq = _squares(1, U.M)
     for i in range(1, n + 1):
         acc = U.P[i - 1] * U.P[j - 1]
         if i == j:
@@ -324,14 +322,7 @@ def conservative_flux(j: int, U: ConservativeState):
 def entropy(U: ConservativeState):
     """S = (1 + |D|^2 + |P|^2 + sum M^2) / (2h); strictly convex on h > 0."""
     _guard(np.abs(U.h), "|h|")
-    num = 1
-    for x in U.D:
-        num = num + x * x
-    for x in U.P:
-        num = num + x * x
-    for x in U.M:
-        num = num + x * x
-    return num / (2 * U.h)
+    return _squares(1, U.D, U.P, U.M) / (2 * U.h)
 
 
 def entropy_flux(U: ConservativeState, j: int):

@@ -314,19 +314,23 @@ def xi(F):
     return _det(_gram_plus_identity(_rows(F)))
 
 
-def _squares(minors_vec):
-    """1 + sum of squared minors; z_minor_sum reads it, not xi_minor_sum, so a fault in one fails one identity."""
-    out = 1
-    for v in minors_vec:
-        out = out + v * v
-    return out
+def _squares(start, *groups):
+    """start + x * x over every x of every group, left to right: h^2, lambda, the entropy, the minor sums.
+
+    Float + is not associative, so each caller's start and group order fix its bits.  z_minor_sum
+    reads it, not xi_minor_sum, so a fault in one fails one identity.
+    """
+    for group in groups:
+        for x in group:
+            start = start + x * x
+    return start
 
 
 def xi_minor_sum(minors_vec, layout: MinorLayout):
     """1 + sum of squared minors; equals xi(F) when the vector holds all minors of F."""
     if len(minors_vec) != layout.minor_count:
         raise ConfigError("minor vector length does not match layout")
-    return _squares(minors_vec)
+    return _squares(1, minors_vec)
 
 
 def xi_prime(F):
@@ -365,7 +369,7 @@ def z_minor_sum(minors_vec, layout: MinorLayout):
     if len(minors_vec) != layout.minor_count:
         raise ConfigError("minor vector length does not match layout")
     n = layout.n
-    s2 = _squares(minors_vec)
+    s2 = _squares(1, minors_vec)
     out = [0 if c % (n + 1) else s2 for c in range(n * n)]
     for cell, slot, swap, minus in _z_table(layout):
         term = minors_vec[swap] * minors_vec[slot]

@@ -26,6 +26,7 @@ from .minors import (
     _rank,
     _rows,
     _sign,
+    _squares,
     all_minors,
     enumerate_layout,
     xi,
@@ -126,14 +127,7 @@ def lift(F, D, layout: MinorLayout | None = None) -> ConservativeState:
     algebraic constraints to rounding, not just to truncation.
     """
     _, layout, D, P, M = _lift_parts(F, D, layout)
-    h2 = 1
-    for x in M:
-        h2 = h2 + x * x
-    for x in D:
-        h2 = h2 + x * x
-    for x in P:
-        h2 = h2 + x * x
-    return ConservativeState(np.sqrt(h2), D, P, M, layout)
+    return ConservativeState(np.sqrt(_squares(1, M, D, P)), D, P, M, layout)
 
 
 def _guard(value, what, floor=EPS_SINGULAR):
@@ -185,14 +179,7 @@ def _residual_core(tau, d, v, mm, layout: MinorLayout, one) -> ConstraintResidua
     def mval(a: tuple, i: tuple):
         return tau if not a else mm[layout.index_of[(a, i)]]
 
-    lam = tau * tau - one
-    for x in v:
-        lam = lam + x * x
-    for x in d:
-        lam = lam + x * x
-    for x in mm:
-        lam = lam + x * x
-    lam = lam / 2
+    lam = _squares(tau * tau - one, v, d, mm) / 2
 
     omega = []
     for i in range(1, n + 1):
@@ -245,9 +232,4 @@ def lifted_residuals_scaled(F, D, layout: MinorLayout | None = None) -> Constrai
     own bookkeeping.
     """
     rows, layout, D, P, M = _lift_parts(F, D, layout)
-    h2 = xi(rows)
-    for x in D:
-        h2 = h2 + x * x
-    for x in P:
-        h2 = h2 + x * x
-    return _residual_core(1, D, P, M, layout, h2)
+    return _residual_core(1, D, P, M, layout, _squares(xi(rows), D, P))

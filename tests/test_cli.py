@@ -560,6 +560,32 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
         assert_rejected([command, str(path)], "not UTF-8", capsys)
 
 
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("simulate", '"t_end": 0.2', '"t_end": 0.5, "t_end": 0.25', "t_end"),
+        ("simulate", '"sizes": [32]', '"sizes": [32], "sizes": [64]', "sizes"),
+        ("characteristics", '"v": [0.0]', '"v": [0.0], "v": [0.5]', "v"),
+    ],
+    ids=["config", "nested-config", "state-file"],
+)
+def test_a_repeated_key_exits_2_naming_the_file_and_the_key(tmp_path, capsys, command, old, new, key):
+    # json.loads alone would keep the last value and run on it
+    if command == "simulate":
+        path = flat_config(tmp_path)
+    else:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "state": {"tau": 1.0, "d": [0.0], "v": [0.0], "minors": [0.0]}}))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: key {key!r} is given more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_cadence_zero_or_beyond_t_end_is_end_only(tmp_path):
     for cadence in (0, 1e308):
         path = flat_config(tmp_path, output_cadence=cadence, snapshot_cadence=1e308)
@@ -1126,6 +1152,55 @@ def test_python_m_branesim_runs_without_warning():
         assert proc.returncode == 0, (module, proc.stderr)
         assert "RuntimeWarning" not in proc.stderr, module
         assert json.loads(proc.stdout)
+
+
+RIGGED_VERIFY = """
+import sys
+from branesim import cli
+real = cli.cmd_verify
+def rigged(shapes, samples, seed):
+    report = real(shapes, samples, seed)
+    report.failures.append({"identity": "xi", "shape": [1, 1], "input": [["1"]]})
+    return report
+cli.cmd_verify = rigged
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "branesim", "characteristics", "STATE"], 0),
+        (["-m", "branesim", "verify", "--samples", "1"], 0),
+        (["-c", RIGGED_VERIFY, "verify", "--samples", "1", "--shapes", "1x1"], 1),
+    ],
+    ids=["characteristics", "verify", "failed-verify"],
+)
+def test_a_closed_stdout_is_not_a_crash(tmp_path, argv, code, unbuffered):
+    # stdout is a pipe whose reader has already gone: no traceback, and the code the command has with stdout open
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps({"m": 1, "n": 1, "state": {"tau": 1.0, "d": [0.0], "v": [0.0], "minors": [0.0]}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *(str(state_file) if a == "STATE" else a for a in argv)],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
 def test_the_only_exception_classes_are_config_and_blowup_errors():

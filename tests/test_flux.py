@@ -312,6 +312,21 @@ def test_entropy_law_pointwise(shape):
 
 
 @pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_entropy_is_the_hand_written_sum_on_rationals(shape):
+    # S = (1 + |D|^2 + |P|^2 + sum M^2) / (2h) exactly, off the manifold too
+    m, n = shape
+    lay = enumerate_layout(m, n)
+    rng = random.Random(90 + 10 * m + n)
+    for _ in range(10):
+        u = rand_primitive(rng, lay).as_vector()[1:]
+        D, P, M = u[:m], u[m : m + n], u[m + n :]
+        h = Fr(rng.randint(1, 9), rng.randint(1, 4))
+        got = entropy(ConservativeState(h, D, P, M, lay))
+        want = (1 + sum(x * x for x in D) + sum(x * x for x in P) + sum(x * x for x in M)) / (2 * h)
+        assert type(got) is Fr and got == want
+
+
+@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
 def test_entropy_flux_is_the_quadratic_form_of_A(shape):
     # Q_j = u . A_j(u) u / (2h^2) with u = (1, D, P, M), exactly, diagonal and both triangles of A_j included
     m, n = shape

@@ -294,6 +294,27 @@ def test_xi_examples():
     assert xi_minor_sum(all_minors(F, lay), lay) == 35
 
 
+def test_squares_adds_each_square_to_the_running_sum_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so only the left-to-right sum from the start keeps
+    # 1e16; summing the squares first, or pairwise, gives 1e16 + 2
+    assert minors._squares(1e16, [1.0], [1.0]) == 1e16
+    assert minors._squares(1e16, [1.0, 1.0]) == 1e16
+    assert np.array_equal(minors._squares(np.full(3, 1e16), [np.ones(3)], [np.ones(3)]), np.full(3, 1e16))
+    assert minors._squares(7) == 7
+
+
+def test_squares_passes_fractions_and_grid_arrays_through_exactly():
+    got = minors._squares(Fr(1, 3), [Fr(1, 2)], [], [Fr(-2, 3), 1])
+    assert type(got) is Fr and got == Fr(1, 3) + Fr(1, 4) + Fr(4, 9) + 1
+    x, y = np.random.default_rng(3).uniform(-3, 3, (2, 4, 3))
+    x[0, 0], y[1, 1] = -0.0, np.inf
+    want = 1 + x * x
+    want = want + y * y
+    want = want + x * x
+    got = minors._squares(1, [x], [y, x])
+    assert got.shape == (4, 3) and got.tobytes() == want.tobytes()
+
+
 def test_xi_prime_examples():
     # (xi, Z, xi') of one I + FᵀF
     assert xi_prime([[Fr(5, 3)]]) == (1 + Fr(25, 9), [[1]], [[Fr(5, 3)]])

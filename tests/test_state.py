@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -231,6 +232,21 @@ def test_two_h_S_equals_h_squared_exactly():
             two_h_S = 1 + sum(x * x for x in D) + sum(x * x for x in P) + sum(x * x for x in M)
             h_sq = xi(F) + sum(x * x for x in D) + sum(x * x for x in P)
             assert two_h_S == h_sq
+
+
+@pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_lift_h_squared_is_the_hand_written_sum_on_rationals(shape, monkeypatch):
+    # with its square root taken out, lift's h is exactly 1 + sum M^2 + |D|^2 + |P|^2
+    monkeypatch.setattr("branesim.state.np", types.SimpleNamespace(sqrt=lambda x: x))
+    m, n = shape
+    rng = random.Random(500 + 10 * m + n)
+    for _ in range(10):
+        F, D = rand_rational_graph(rng, m, n)
+        U = lift(F, D)
+        assert U.P == [sum(F[a][i] * D[a] for a in range(m)) for i in range(n)]
+        assert U.M == all_minors(F, enumerate_layout(m, n))
+        want = 1 + sum(x * x for x in U.M) + sum(x * x for x in D) + sum(x * x for x in U.P)
+        assert type(U.h) is Fr and U.h == want
 
 
 @pytest.mark.parametrize("shape", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
