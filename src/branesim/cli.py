@@ -131,8 +131,11 @@ def _parse_common(data: dict, keys: dict, scheme_keys: dict) -> dict:
         raise ConfigError(f"config.grid.lengths: expected {n} entries")
     sizes = tuple(_integer(s, "config.grid.sizes", 8) for s in sizes)
     lengths = tuple(_positive(x, "config.grid.lengths") for x in lengths)
-    with _naming("config.grid.sizes"):  # the lengths are checked, so the point budget and the spacing remain
+    # each length is checked, so Grid refuses the sizes (point budget, spacing) or the lengths' cell volume
+    try:
         grid = Grid(sizes, lengths)
+    except ConfigError as exc:
+        raise ConfigError(f"config.grid.{'lengths' if 'cell volume' in str(exc) else 'sizes'}: {exc}") from None
     scheme = data.get("scheme", {})
     _require_keys(scheme, {"stencil_order": False, "cfl": False, **scheme_keys}, "config.scheme")
     # accepted as 2 only, the value existing configs send

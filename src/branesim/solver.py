@@ -31,8 +31,8 @@ from .minors import _adjugate, _gram_plus_identity, _rows
 from .state import (
     EPS_SINGULAR,
     BlowUpError,
+    ConservativeState,
     PrimitiveState,
-    _guard,
     _nonfinite_reason,
     constraint_residuals,
     lift,
@@ -56,14 +56,16 @@ MAX_POINTS = 2**20
 class Grid:
     """Uniform periodic grid in 1 or 2 spatial dimensions, of at most MAX_POINTS points.
 
-    The spacing dx = length / size and the stencil scale 1 / (2 dx) of each axis are
-    formed once; grids compare and hash by sizes and lengths alone.
+    The spacing dx = length / size and the stencil scale 1 / (2 dx) of each axis, and
+    the cell volume prod(dx), are formed once; grids compare and hash by sizes and
+    lengths alone.
     """
 
     sizes: tuple[int, ...]
     lengths: tuple[float, ...]
     spacing: tuple[float, ...] = field(init=False, repr=False, compare=False)
     stencil_scale: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
@@ -84,14 +86,14 @@ class Grid:
             raise ConfigError("grid spacing lengths / sizes too small: 1 / (2 dx) overflows")
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "stencil_scale", tuple(1 / (2 * d) for d in spacing))
+        object.__setattr__(self, "cell_volume", math.prod(spacing))
+        # the energy and the entropy norm scale by the cell volume, which lengths near the float range overflow
+        if not math.isfinite(self.cell_volume):
+            raise ConfigError("grid cell volume prod(lengths / sizes) overflows")
 
     @property
     def n(self) -> int:
         return len(self.sizes)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
 
     def axes(self) -> list[np.ndarray]:
         return [np.arange(s) * d for s, d in zip(self.sizes, self.spacing)]
@@ -311,26 +313,22 @@ def cfl_dt(fld: GridField, cfl: float) -> float:
     return cfl * dx / smax
 
 
-def sigma_residual(fld: GridField) -> dict:
-    """Discrete sigma_{A',I} = sum_{i in I} (-1)^{O_I(i)} d_i (m_{A',I\\{i}} / tau).
+def sigma_residual(U: ConservativeState, grid: Grid) -> dict:
+    """Discrete sigma_{A',I} = sum_{i in I} (-1)^{O_I(i)} d_i M_{A',I\\{i}} of a conservative state on grid.
 
     Vanishes analytically on lifted data; empty for n = 1 where no index set
     of size >= 2 exists.
     """
-    lay = fld.layout
+    lay = U.layout
     n, r = lay.n, lay.r
-    tau = fld.values[0]
-    _guard(np.abs(tau), "|tau|")
     out = {}
     for kI in range(2, min(n, r + 1) + 1):
         for Ap in combinations(range(1, lay.m + 1), kI - 1):
             for I in combinations(range(1, n + 1), kI):
-                acc = np.zeros_like(tau)
+                acc = np.zeros_like(U.h)
                 for i in I:
                     Icut = tuple(x for x in I if x != i)
-                    slot = lay.state_slot(Ap, Icut)
-                    ratio = fld.values[slot] / tau
-                    acc += _sign(_rank(I, i)) * derivative(ratio, fld.grid, i - 1)
+                    acc += _sign(_rank(I, i)) * derivative(U.minor_value(Ap, Icut), grid, i - 1)
                 out[(Ap, I)] = acc
     return out
 
@@ -444,8 +442,8 @@ _ROW_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
 CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
-def _entropy_residual_field(fld: GridField, slope: np.ndarray | None = None) -> np.ndarray:
-    """Discrete d_t S + div(entropy flux) along the actual evolution; d_t W goes into slope when given."""
+def _entropy_residual_field(fld: GridField, U: ConservativeState, slope: np.ndarray | None = None) -> np.ndarray:
+    """Discrete d_t S + div(entropy flux) of fld, whose W / tau is U; d_t W goes into slope when given."""
     n = fld.layout.n
     v = fld.values
     tau = v[0]
@@ -453,38 +451,39 @@ def _entropy_residual_field(fld: GridField, slope: np.ndarray | None = None) -> 
     Q = np.sum(v[1:] * v[1:], axis=0)
     dS = 0.5 * (1.0 - Q / (tau * tau)) * wt[0]
     dS += np.sum(v[1:] * wt[1:], axis=0) / tau
-    U = to_conservative(fld.state_view())
     res = dS
     for j in range(1, n + 1):
         res = res + derivative(np.asarray(_flux.entropy_flux(U, j)), fld.grid, j - 1)
     return res
 
 
-def _oracle_errors(fld: GridField, F: np.ndarray, D: np.ndarray):
-    F_rec, D_rec = reconstruct_graph(fld.state_view())
-    return linf([np.subtract(F_rec, F)]), linf([np.subtract(D_rec, D)])
-
-
 def diagnostics(fld: GridField, t: float, oracle=None, slope: np.ndarray | None = None) -> DiagnosticsRow:
-    """The diagnostics row of fld at t; the d_t W the row evaluates is written into slope when given."""
+    """The diagnostics row of fld at t; the d_t W the row evaluates is written into slope when given.
+
+    Its one division by tau, and one |tau| guard, is U = to_conservative(W), which the energy, the entropy flux,
+    sigma and the oracle check read.
+    """
     vol = fld.grid.cell_volume
-    tau = fld.values[0]
-    energy = float(np.sum(1.0 / tau) * vol)
-    res = constraint_residuals(fld.state_view())
-    ent = _entropy_residual_field(fld, slope)
-    ent_l2 = float(np.sqrt(np.sum(ent * ent) * vol))
+    W = fld.state_view()
+    res = constraint_residuals(W)
+    # each group reduced to its float before U is formed, so the row never holds both sets of grid arrays
+    lam, omega, phi, psi = linf([res.lam]), linf(res.omega), linf(res.phi.values()), linf(res.psi.values())
+    del res
+    U = to_conservative(W)
+    ent = _entropy_residual_field(fld, U, slope)
     row = DiagnosticsRow(
         t=t,
-        total_energy=energy,
-        entropy_residual_L2=ent_l2,
-        lambda_Linf=linf([res.lam]),
-        omega_Linf=linf(res.omega),
-        phi_Linf=linf(res.phi.values()),
-        psi_Linf=linf(res.psi.values()),
-        sigma_Linf=linf(sigma_residual(fld).values()),
+        total_energy=float(np.sum(U.h) * vol),
+        entropy_residual_L2=float(np.sqrt(np.sum(ent * ent) * vol)),
+        lambda_Linf=lam,
+        omega_Linf=omega,
+        phi_Linf=phi,
+        psi_Linf=psi,
+        sigma_Linf=linf(sigma_residual(U, fld.grid).values()),
     )
     if oracle is not None:
-        row.oracle_F_err_Linf, row.oracle_D_err_Linf = _oracle_errors(fld, *oracle)
+        rec = reconstruct_graph(U)
+        row.oracle_F_err_Linf, row.oracle_D_err_Linf = (linf([np.subtract(x, y)]) for x, y in zip(rec, oracle))
     return row
 
 

@@ -158,15 +158,10 @@ def to_conservative(W: PrimitiveState) -> ConservativeState:
     return ConservativeState(1 / t, [x / t for x in W.d], [x / t for x in W.v], [x / t for x in W.m_minors], W.layout)
 
 
-def reconstruct_graph(W: PrimitiveState) -> tuple[list, list]:
-    """Recover (F, D) from a primitive state: F_{ai} = m_{ai}/tau, D = d/tau."""
-    _guard(np.abs(W.tau), "|tau|")
-    lay = W.layout
-    F = [
-        [W.m_minors[lay.slot((a,), (i,))] / W.tau for i in range(1, lay.n + 1)]
-        for a in range(1, lay.m + 1)
-    ]
-    return F, [x / W.tau for x in W.d]
+def reconstruct_graph(U: ConservativeState) -> tuple[list, list]:
+    """The inverse of lift: (F, D) with F_{ai} = M_{(a),(i)}, the 1 x 1 minors, and D = U.D."""
+    F = [[U.minor_value((a,), (i,)) for i in range(1, U.layout.n + 1)] for a in range(1, U.layout.m + 1)]
+    return F, U.D
 
 
 # ---------------------------------------------------------------------------

@@ -935,6 +935,11 @@ WAVE = "config.initial_data: wave vector of component 1 too large"
         pytest.param(*SIM, ("grid", "lengths"), [1e-300], GRADIENTS, id="length-1e-300"),
         # a spacing whose stencil scale 1 / (2 dx) overflows
         pytest.param(*SIM, ("grid", "lengths"), [1e-310], "config.grid.sizes: grid spacing", id="length-1e-310"),
+        # a cell volume that overflows used to run on and write total_energy=inf in every row, exiting 0
+        pytest.param(
+            "simulate", "membrane_n2.json", ("grid", "lengths"), [1e200, 1e200], "config.grid.lengths: grid cell volume",
+            id="lengths-cell-volume-1e400",
+        ),
         # finite, but tau = 1/h = 1e-100 used to exit 3 at the t = 0 row
         pytest.param(*SIM, X0 + ("amplitude",), 1e100, "config.initial_data: initial data too large", id="x-amp-1e100"),
         # it used to blame config.dt_values, config.scheme.cfl

@@ -26,6 +26,7 @@ from branesim.solver import (
     plan_steps,
     sigma_residual,
 )
+from branesim.state import to_conservative
 
 TWO_PI = 2 * np.pi
 
@@ -39,6 +40,11 @@ def time_flip(values, layout):
 
 def scalar_field(grid, arrays):
     return GridField(grid, enumerate_layout(1, 1), np.stack(arrays))
+
+
+def sigma_of(fld):
+    """sigma_residual of a field, read off its conservative state U = W / tau."""
+    return sigma_residual(to_conservative(fld.state_view()), fld.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +64,10 @@ def test_grid_validation():
     for length in (1e-310, 5e-324):
         with pytest.raises(ConfigError, match="grid spacing lengths / sizes too small"):
             Grid((8,), (length,))
+    # finite spacings whose product, the cell volume, overflows
+    with pytest.raises(ConfigError, match=r"grid cell volume prod\(lengths / sizes\) overflows"):
+        Grid((8, 8), (1e200, 1e200))
+    assert Grid((8, 8), (2.0, 3.0)).cell_volume == 0.25 * 0.375
     assert np.isfinite(derivative(np.zeros(8), Grid((8,), (1e-300,)), 0)).all()
 
 
@@ -667,7 +677,7 @@ def test_max_wave_speed_matches_eigvalsh(m, n):
 def test_sigma_empty_for_n1():
     g = Grid((32,), (TWO_PI,))
     fld = scalar_field(g, [np.ones(32), np.zeros(32), np.zeros(32), np.zeros(32)])
-    assert sigma_residual(fld) == {}
+    assert sigma_of(fld) == {}
 
 
 def test_sigma_constant_field_zero_and_lifted_second_order():
@@ -678,14 +688,45 @@ def test_sigma_constant_field_zero_and_lifted_second_order():
     for N in (32, 64):
         g = Grid((N, N), (TWO_PI, TWO_PI))
         fld, _, _ = initial_fields(g, 1, X, [])
-        sig = sigma_residual(fld)
+        sig = sigma_of(fld)
         assert len(sig) == 1
         errs.append(max(float(np.max(np.abs(v))) for v in sig.values()))
     assert math.log2(errs[0] / errs[1]) > 1.8
     g = Grid((16, 16), (TWO_PI, TWO_PI))
     lay = enumerate_layout(1, 2)
     const = GridField(g, lay, np.tile(np.array([1.0, 0.1, 0.0, 0.0, 0.2, 0.3])[:, None, None], (1, 16, 16)))
-    assert all(np.max(np.abs(v)) == 0.0 for v in sigma_residual(const).values())
+    assert all(np.max(np.abs(v)) == 0.0 for v in sigma_of(const).values())
+
+
+def test_a_diagnostics_row_divides_by_tau_once(monkeypatch):
+    # with the oracle on, the energy, the entropy flux, sigma and the oracle check all read one
+    # U = to_conservative(W), so the row guards |tau| once
+    from branesim import state
+
+    g = Grid((16, 16), (TWO_PI, TWO_PI))
+    fld, ora, _ = initial_fields(g, 1, [Mode(1, (1, 0), 0.1, 0.0)], [Mode(1, (1, 1), 0.05, 0.3)])
+    made, guarded = [], []
+    real_guard, real_to_conservative = state._guard, solver.to_conservative
+
+    def guard(value, what, floor=state.EPS_SINGULAR):
+        guarded.append(what)
+        return real_guard(value, what, floor)
+
+    monkeypatch.setattr(state, "_guard", guard)
+    monkeypatch.setattr(solver, "_guard", guard, raising=False)
+    monkeypatch.setattr(solver, "to_conservative", lambda W: made.append(W) or real_to_conservative(W))
+    diagnostics(fld, 0.0, ora)
+    assert len(made) == 1 and guarded.count("|tau|") == 1, (len(made), guarded)
+
+
+def test_a_diagnostics_row_refuses_a_zero_tau_and_names_its_grid_point():
+    # refused by the row's one |tau| guard, before anything divides by tau (a division would warn)
+    g = Grid((16, 16), (TWO_PI, TWO_PI))
+    fld, ora, _ = initial_fields(g, 1, [Mode(1, (1, 0), 0.1, 0.0)], [])
+    fld.values[0, 3, 5] = 0.0
+    with pytest.raises(BlowUpError) as info:
+        diagnostics(fld, 0.0, ora)
+    assert info.value.reason == "min |tau| = 0 at grid index [3, 5]"
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +769,6 @@ def test_initial_data_is_on_manifold():
     fld, (F0, D0), u0 = initial_fields(g, 1, [Mode(1, (1,), 0.1, 0.0)], [Mode(1, (1,), 0.05, 0.7)])
     res = constraint_residuals(fld.state_view())
     assert linf([res.lam, *res.omega, *res.phi.values(), *res.psi.values()]) < 1e-14
-    assert np.max(np.abs(sigma_residual(fld).get((), 0.0))) == 0.0 if g.n == 1 else True
     assert u0.shape == (1, 64)
 
 

@@ -125,7 +125,7 @@ _NAN_FIRST, _NAN_LAST = np.array([math.nan, 1e-13, 1.0]), np.array([1.0, 1e-13, 
     [
         (lambda lay: to_primitive(ConservativeState(_NAN_FIRST, [1.0], [1.0], [1.0], lay)), "min |h| = nan at grid index [0]"),
         (lambda lay: to_conservative(PrimitiveState(_NAN_FIRST, [1.0], [1.0], [1.0], lay)), "min |tau| = nan at grid index [0]"),
-        (lambda lay: reconstruct_graph(PrimitiveState(_NAN_LAST, [1.0], [1.0], [1.0], lay)), "min |tau| = nan at grid index [2]"),
+        (lambda lay: to_conservative(PrimitiveState(_NAN_LAST, [1.0], [1.0], [1.0], lay)), "min |tau| = nan at grid index [2]"),
     ],
     ids=["h", "tau", "tau-nan-after-the-smallest"],
 )
@@ -173,21 +173,30 @@ def test_linf_of_a_group_holding_a_nan_is_nan():
 
 
 def test_reconstruct_examples():
+    # F is read off the 1 x 1 minors M_{(a),(i)} and D off U.D: no h enters
     lay = enumerate_layout(1, 1)
-    assert reconstruct_graph(PrimitiveState(1.0, [0.0], [0.0], [0.3], lay)) == ([[0.3]], [0.0])
-    assert reconstruct_graph(PrimitiveState(0.5, [0.2], [0.0], [0.5], lay)) == ([[1.0]], [0.4])
-    with pytest.raises(BlowUpError):
-        reconstruct_graph(PrimitiveState(0.0, [0.0], [0.0], [0.0], lay))
+    assert reconstruct_graph(ConservativeState(1.0, [0.0], [0.0], [0.3], lay)) == ([[0.3]], [0.0])
+    assert reconstruct_graph(ConservativeState(2.0, [0.4], [0.0], [1.0], lay)) == ([[1.0]], [0.4])
+    lay = enumerate_layout(2, 2)
+    U = ConservativeState(3.0, [0.1, 0.2], [0.0, 0.0], [1.0, 2.0, 3.0, 4.0, 5.0], lay)
+    want = [[lay.slot((a,), (i,)) + 1.0 for i in (1, 2)] for a in (1, 2)]
+    assert reconstruct_graph(U) == (want, [0.1, 0.2])
 
 
 def test_reconstruct_round_trip():
+    # reconstruct_graph inverts lift bit for bit: the 1 x 1 minors are the entries of F themselves.
+    # Through to_primitive and back, each entry is divided by h and then by tau = 1 / h, which is inexact
     rng = np.random.default_rng(9)
-    for m, n in [(1, 1), (2, 2), (3, 2)]:
-        F = rng.uniform(-0.8, 0.8, (m, n))
-        D = list(rng.uniform(-0.8, 0.8, m))
-        F_rec, D_rec = reconstruct_graph(to_primitive(lift(F, D)))
-        assert np.max(np.abs(np.array(F_rec) - F)) < 1e-13
-        assert np.max(np.abs(np.array(D_rec) - D)) < 1e-13
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for shape in ((), (5,), (4, 3)):
+                F = rng.normal(size=(m, n, *shape)) * 10.0 ** rng.uniform(-3, 3)
+                D = list(rng.normal(size=(m, *shape)))
+                if not shape:
+                    F, D = [[float(x) for x in row] for row in F], [float(x) for x in D]
+                F_rec, D_rec = reconstruct_graph(lift(F, D))
+                assert np.array_equal(F_rec, F) and np.array_equal(D_rec, D), (m, n, shape)
+                assert [type(x) for row in F_rec for x in row] == [type(x) for row in F for x in row]
 
 
 # ---------------------------------------------------------------------------
